@@ -172,10 +172,34 @@ fi
 
 echo "==> cts capacity gate (64k-sink H-tree, hierarchical, governed memory budget)"
 cargo build --release --bin varbuf
-CTS_OUT=$(./target/release/varbuf cts --levels 16 --budget-mem 512)
+CTS_CMD=(./target/release/varbuf cts --levels 16 --budget-mem 512)
+if command -v python3 >/dev/null 2>&1; then
+  # Peak RSS from wait4: the streaming skew pass keeps only the live walk
+  # front and two running folds, so the whole 64k process stays near
+  # 540 MB; holding every arrival form at once took it to ~1.4 GB.
+  CTS_OUT=$(python3 - "${CTS_CMD[@]}" <<'EOF'
+import os, subprocess, sys
+p = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
+out = p.stdout.read()
+_, status, ru = os.wait4(p.pid, 0)
+sys.stdout.write(out.decode())
+if status != 0:
+    sys.exit(f'cts gate: varbuf cts exited with wait status {status}')
+mb = ru.ru_maxrss / 1024
+print(f'peak RSS {mb:.0f} MB')
+if mb > 700:
+    sys.exit(f'cts gate: peak RSS {mb:.0f} MB exceeds 700 MB')
+EOF
+)
+else
+  CTS_OUT=$("${CTS_CMD[@]}")
+fi
 echo "$CTS_OUT" | sed 's/^/    /'
 echo "$CTS_OUT" | grep -q '^htree16: 65536 sinks' || { echo "cts gate: 64k run did not complete" >&2; exit 1; }
 echo "$CTS_OUT" | grep -q 'peak chunk bytes'      || { echo "cts gate: frontier ledger peak missing" >&2; exit 1; }
+# The skew pass is bit-identical to the serial Clark fold, so the CLI's
+# rounded skew is pinned exactly.
+echo "$CTS_OUT" | grep -qxF 'global skew 122.40 ± 9.48 ps' || { echo "cts gate: global skew moved from 122.40 ± 9.48 ps" >&2; exit 1; }
 
 echo "==> profile smoke (profile_stat --json: phase attribution well-formed)"
 cargo build --release -p varbuf-bench --examples

@@ -15,7 +15,7 @@
 use crate::skew::SkewAnalyzer;
 use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
-use varbuf_stats::{stat_min, CanonicalForm};
+use varbuf_stats::{stat_min_assign, CanonicalForm};
 use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
 
 /// Per-sink criticality report.
@@ -72,7 +72,7 @@ pub fn sink_criticalities(
         .arrivals;
 
     // Slack_i = required_i − arrival_i.
-    let mut slacks: Vec<(NodeId, CanonicalForm)> = arrivals
+    let slacks: Vec<(NodeId, CanonicalForm)> = arrivals
         .into_iter()
         .map(|(id, arrival)| {
             let required = match tree.node(id).kind {
@@ -86,21 +86,30 @@ pub fn sink_criticalities(
         .collect();
     assert!(!slacks.is_empty(), "tree must have at least one sink");
 
-    // Tightness cascade: fold slacks through Clark minimums. At each
-    // step, `t = P(running-min < next)` keeps the accumulated mass and
-    // `1 − t` goes to the newcomer.
-    let (first_id, first_slack) = slacks.remove(0);
-    let mut min_slack = first_slack.clone();
-    let mut report: Vec<(NodeId, CanonicalForm, f64)> = vec![(first_id, first_slack, 1.0)];
-    for (id, slack) in slacks {
-        let folded = stat_min(&min_slack, &slack);
-        let t = folded.tightness; // P(running-min is the min)
-        for entry in &mut report {
-            entry.2 *= t;
-        }
-        report.push((id, slack, 1.0 - t));
-        min_slack = folded.form;
+    // Tightness cascade: fold slacks through Clark minimums. Step k
+    // keeps `t_k = P(running-min < slack_k)` of the accumulated mass and
+    // gives `1 − t_k` to sink k, so sink k's criticality is its share
+    // times every later step's tightness — a suffix product, taken in
+    // one backward pass.
+    let mut min_slack = slacks[0].1.clone();
+    let mut scratch = CanonicalForm::default();
+    let mut tightness = vec![1.0; slacks.len()];
+    for (t, (_, slack)) in tightness.iter_mut().zip(&slacks).skip(1) {
+        *t = stat_min_assign(&mut scratch, &min_slack, slack);
+        std::mem::swap(&mut min_slack, &mut scratch);
     }
+    let mut criticality = vec![0.0; slacks.len()];
+    let mut later = 1.0; // product of the tightnesses after step k
+    for k in (0..slacks.len()).rev() {
+        let share = if k == 0 { 1.0 } else { 1.0 - tightness[k] };
+        criticality[k] = share * later;
+        later *= tightness[k];
+    }
+    let mut report: Vec<(NodeId, CanonicalForm, f64)> = slacks
+        .into_iter()
+        .zip(criticality)
+        .map(|((id, slack), c)| (id, slack, c))
+        .collect();
     report.sort_by(|a, b| b.2.total_cmp(&a.2));
 
     CriticalityReport {
@@ -171,6 +180,74 @@ mod tests {
         // min_slack mean is at most the most-critical sink's slack mean.
         let best = report.sinks[0].1.mean();
         assert!(report.min_slack.mean() <= best + 1e-9);
+    }
+
+    /// The quadratic cascade: every fold step rescales every earlier
+    /// entry. Returns `(sink, criticality)` in fold order.
+    fn quadratic_criticalities(
+        tree: &RoutingTree,
+        model: &ProcessModel,
+        assignment: &[(NodeId, BufferTypeId)],
+    ) -> Vec<(NodeId, f64)> {
+        let mut slacks: Vec<(NodeId, CanonicalForm)> =
+            SkewAnalyzer::new(tree, model, VariationMode::WithinDie)
+                .analyze(assignment)
+                .arrivals
+                .into_iter()
+                .map(|(id, a)| {
+                    let NodeKind::Sink {
+                        required_arrival, ..
+                    } = tree.node(id).kind
+                    else {
+                        unreachable!("arrivals only lists sinks")
+                    };
+                    (id, a.scaled(-1.0).plus_constant(required_arrival))
+                })
+                .collect();
+        let (first_id, first_slack) = slacks.remove(0);
+        let mut min_slack = first_slack;
+        let mut out = vec![(first_id, 1.0)];
+        for (id, slack) in slacks {
+            let folded = varbuf_stats::stat_min(&min_slack, &slack);
+            for entry in &mut out {
+                entry.1 *= folded.tightness;
+            }
+            out.push((id, 1.0 - folded.tightness));
+            min_slack = folded.form;
+        }
+        out
+    }
+
+    #[test]
+    fn suffix_product_matches_quadratic_cascade() {
+        let trees = [
+            generate_benchmark(&BenchmarkSpec::random("crit3", 60, 2)),
+            generate_benchmark(&BenchmarkSpec::random("crit4", 90, 11)),
+            generate_htree(&HTreeSpec::with_levels(6)),
+        ];
+        for tree in &trees {
+            let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Homogeneous);
+            let wid =
+                optimize_statistical(tree, &model, VariationMode::WithinDie, &Options::default())
+                    .expect("optimize");
+            let report =
+                sink_criticalities(tree, &model, VariationMode::WithinDie, &wid.assignment);
+            let reference = quadratic_criticalities(tree, &model, &wid.assignment);
+            assert_eq!(report.sinks.len(), reference.len());
+            for &(id, want) in &reference {
+                let got = report
+                    .sinks
+                    .iter()
+                    .find(|e| e.0 == id)
+                    .expect("every sink reported")
+                    .2;
+                assert!(
+                    (got - want).abs() <= 1e-12 * want.abs().max(got.abs()),
+                    "{}: sink {id}: {got} vs {want}",
+                    tree.name()
+                );
+            }
+        }
     }
 
     #[test]

@@ -11,18 +11,17 @@
 //! skew (max minus min arrival) is estimated with iterated Clark
 //! max/min.
 
-use crate::ops::merge_pair_stat;
-use crate::solution::StatSolution;
-use std::collections::HashMap;
+use std::sync::{mpsc, Arc};
 use varbuf_rctree::tree::NodeKind;
 use varbuf_rctree::{NodeId, RoutingTree};
-use varbuf_stats::{stat_max, stat_min, CanonicalForm};
+use varbuf_stats::{stat_max_assign, stat_min_assign, CanonicalForm};
 use varbuf_variation::{BufferTypeId, ProcessModel, VariationMode};
 
 /// Per-sink arrival forms plus derived skew quantities.
 #[derive(Debug, Clone)]
 pub struct SkewAnalysis {
-    /// Arrival time of every sink, canonical form, ps.
+    /// Arrival time of every sink, canonical form, ps, in ascending
+    /// node-id order.
     pub arrivals: Vec<(NodeId, CanonicalForm)>,
     /// The statistical latest arrival (Clark max over sinks).
     pub latest: CanonicalForm,
@@ -49,26 +48,63 @@ impl SkewAnalysis {
     /// Panics if either node is not a sink of the analyzed tree.
     #[must_use]
     pub fn pair_skew(&self, a: NodeId, b: NodeId) -> CanonicalForm {
-        let find = |id: NodeId| {
-            self.arrivals
-                .iter()
-                .find(|&&(n, _)| n == id)
-                .unwrap_or_else(|| panic!("{id} is not a sink of the analyzed tree"))
-                .1
-                .clone()
+        let find = |id: NodeId| match self.arrivals.binary_search_by_key(&id, |&(n, _)| n) {
+            Ok(pos) => &self.arrivals[pos].1,
+            Err(_) => panic!("{id} is not a sink of the analyzed tree"),
         };
-        find(a).sub(&find(b))
+        find(a).sub(find(b))
     }
 
     /// Probability that the global skew stays below `target` ps.
     #[must_use]
     pub fn skew_yield(&self, target: f64) -> f64 {
-        // P(skew <= target) = P(skew - target <= 0).
-        1.0 - self.global_skew().prob_at_least(target)
+        skew_yield(&self.global_skew(), target)
     }
 }
 
+/// The latest and earliest sink arrivals without the per-sink forms:
+/// what [`SkewAnalyzer::extremes`] returns. The fields and methods are
+/// bit-identical to [`SkewAnalysis`]'s.
+#[derive(Debug, Clone)]
+pub struct SkewExtremes {
+    /// The statistical latest arrival (Clark max over sinks).
+    pub latest: CanonicalForm,
+    /// The statistical earliest arrival (Clark min over sinks).
+    pub earliest: CanonicalForm,
+}
+
+impl SkewExtremes {
+    /// The global-skew form: latest minus earliest arrival.
+    #[must_use]
+    pub fn global_skew(&self) -> CanonicalForm {
+        self.latest.sub(&self.earliest)
+    }
+
+    /// Probability that the global skew stays below `target` ps.
+    #[must_use]
+    pub fn skew_yield(&self, target: f64) -> f64 {
+        skew_yield(&self.global_skew(), target)
+    }
+}
+
+/// `P(skew <= target) = P(skew - target <= 0)`.
+fn skew_yield(skew: &CanonicalForm, target: f64) -> f64 {
+    1.0 - skew.prob_at_least(target)
+}
+
 /// Computes arrival-time forms for fixed buffer placements on one tree.
+///
+/// # Streaming
+///
+/// Both entry points share one walk in ascending node-id order. Ids
+/// are topological (a parent's id is below its children's, see
+/// [`RoutingTree`]), so the walk computes each arrival from its
+/// parent's and drops the parent's form after its last child: only the
+/// forms of nodes with unvisited children are live, one per level on
+/// an H-tree. Each sink's arrival goes straight into the Clark max/min
+/// folds, which run in place in the serial `tree.iter()` sink order —
+/// Clark's fold depends on its operand order, so that order is part of
+/// the answer.
 #[derive(Debug)]
 pub struct SkewAnalyzer<'a> {
     tree: &'a RoutingTree,
@@ -84,108 +120,199 @@ impl<'a> SkewAnalyzer<'a> {
         Self { tree, model, mode }
     }
 
-    /// Analyzes one buffer placement.
+    /// Analyzes one buffer placement, keeping every sink's arrival form.
     ///
     /// # Panics
     ///
     /// Panics if the tree has no sinks.
     #[must_use]
     pub fn analyze(&self, assignment: &[(NodeId, BufferTypeId)]) -> SkewAnalysis {
-        let buffers: HashMap<NodeId, BufferTypeId> = assignment.iter().copied().collect();
-        let wire = self.tree.wire();
-        let n = self.tree.len();
-
-        // Upward pass: subtree load below each node (the load any buffer
-        // placed at the node drives) and the load the node presents
-        // upward (buffer cap form when buffered).
-        let mut subtree_load: Vec<Option<CanonicalForm>> = vec![None; n];
-        let mut upward_load: Vec<Option<CanonicalForm>> = vec![None; n];
-        let postorder = self.tree.postorder();
-        for &id in &postorder {
-            let node = self.tree.node(id);
-            let mut load = match node.kind {
-                NodeKind::Sink { capacitance, .. } => CanonicalForm::constant(capacitance),
-                _ => CanonicalForm::constant(0.0),
-            };
-            for &c in &node.children {
-                let seg_cap = wire.cap_per_um * self.tree.node(c).edge_length;
-                load = load
-                    .add(upward_load[c.index()].as_ref().expect("post-order"))
-                    .plus_constant(seg_cap);
-            }
-            upward_load[id.index()] = Some(match buffers.get(&id) {
-                Some(&ty) => self.model.buffer_cap_form(ty, id, node.location, self.mode),
-                None => load.clone(),
-            });
-            subtree_load[id.index()] = Some(load);
-        }
-
-        // Downward pass: arrival forms.
-        let root = self.tree.root();
-        let driver_res = match self.tree.node(root).kind {
-            NodeKind::Source { driver_resistance } => driver_resistance,
-            _ => panic!("root must be a source"),
-        };
-        let mut arrival: Vec<Option<CanonicalForm>> = vec![None; n];
-        arrival[root.index()] = Some(
-            upward_load[root.index()]
-                .as_ref()
-                .expect("root")
-                .scaled(driver_res),
-        );
-        for &id in postorder.iter().rev() {
-            let base = arrival[id.index()].clone().expect("pre-order");
-            for &c in &self.tree.node(id).children {
-                let child = self.tree.node(c);
-                let seg = wire.segment(child.edge_length);
-                // Wire delay r·l·(c·l/2 + upward load of child).
-                let mut t = base.linear_combination(
-                    1.0,
-                    upward_load[c.index()].as_ref().expect("post-order"),
-                    seg.resistance,
-                );
-                t.add_constant(seg.resistance * seg.capacitance / 2.0);
-                if let Some(&ty) = buffers.get(&c) {
-                    let delay = self
-                        .model
-                        .buffer_delay_form(ty, c, child.location, self.mode);
-                    t = t.add(&delay).linear_combination(
-                        1.0,
-                        subtree_load[c.index()].as_ref().expect("post-order"),
-                        self.model.buffer_resistance(ty),
-                    );
-                }
-                arrival[c.index()] = Some(t);
-            }
-        }
-
-        // Collect sinks; fold Clark max/min.
-        let mut arrivals = Vec::new();
-        for (id, node) in self.tree.iter() {
-            if matches!(node.kind, NodeKind::Sink { .. }) {
-                arrivals.push((id, arrival[id.index()].clone().expect("computed")));
-            }
-        }
-        assert!(!arrivals.is_empty(), "tree must have at least one sink");
-        let mut latest = arrivals[0].1.clone();
-        let mut earliest = arrivals[0].1.clone();
-        for (_, a) in &arrivals[1..] {
-            latest = stat_max(&latest, a).form;
-            earliest = stat_min(&earliest, a).form;
-        }
+        let mut shared = Vec::new();
+        let SkewExtremes { latest, earliest } =
+            self.walk(assignment, |id, form| shared.push((id, form)));
+        // The fold threads are joined, so each form has one owner left.
+        let arrivals = shared
+            .into_iter()
+            .map(|(id, form)| (id, Arc::into_inner(form).expect("fold threads joined")))
+            .collect();
         SkewAnalysis {
             arrivals,
             latest,
             earliest,
         }
     }
+
+    /// The latest/earliest arrivals of one buffer placement, bitwise
+    /// equal to [`analyze`](Self::analyze)'s, without keeping the
+    /// per-sink forms: memory stays at the live walk front.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tree has no sinks.
+    #[must_use]
+    pub fn extremes(&self, assignment: &[(NodeId, BufferTypeId)]) -> SkewExtremes {
+        self.walk(assignment, |_, _| {})
+    }
+
+    /// The shared walk: an upward load pass in descending id order, then
+    /// the downward arrival pass in ascending id order, handing each
+    /// sink's arrival to the folds and then to `keep`. The max fold runs
+    /// on a second thread behind a bounded queue; the min fold runs
+    /// inline.
+    fn walk(
+        &self,
+        assignment: &[(NodeId, BufferTypeId)],
+        keep: impl FnMut(NodeId, Arc<CanonicalForm>),
+    ) -> SkewExtremes {
+        std::thread::scope(|s| {
+            let (tx, rx) = mpsc::sync_channel::<Arc<CanonicalForm>>(FOLD_QUEUE);
+            let max_fold = s.spawn(move || {
+                let mut latest = Fold::new(stat_max_assign);
+                for arrival in rx {
+                    latest.push(&arrival);
+                }
+                latest
+            });
+            let earliest = self.propagate(assignment, tx, keep);
+            let latest = max_fold
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+            SkewExtremes {
+                latest: latest.finish(),
+                earliest: earliest.finish(),
+            }
+        })
+    }
+
+    /// Computes every sink's arrival, sends it to the max fold, folds it
+    /// into the returned min fold, and hands it to `keep`.
+    fn propagate(
+        &self,
+        assignment: &[(NodeId, BufferTypeId)],
+        max_fold: mpsc::SyncSender<Arc<CanonicalForm>>,
+        mut keep: impl FnMut(NodeId, Arc<CanonicalForm>),
+    ) -> Fold {
+        let tree = self.tree;
+        let wire = tree.wire();
+        let n = tree.len();
+        let mut buffers: Vec<Option<BufferTypeId>> = vec![None; n];
+        for &(id, ty) in assignment {
+            if let Some(slot) = buffers.get_mut(id.index()) {
+                *slot = Some(ty);
+            }
+        }
+
+        // Upward pass: the load each node presents upward (buffer cap
+        // form when buffered) and, at buffered nodes, the subtree load
+        // the buffer drives. Descending ids visit children first.
+        let mut upward_load: Vec<CanonicalForm> = vec![CanonicalForm::default(); n];
+        let mut buffer_load: Vec<Option<CanonicalForm>> = vec![None; n];
+        for i in (0..n).rev() {
+            let id = NodeId(i as u32);
+            let node = tree.node(id);
+            let mut load = match node.kind {
+                NodeKind::Sink { capacitance, .. } => CanonicalForm::constant(capacitance),
+                _ => CanonicalForm::constant(0.0),
+            };
+            for &c in &node.children {
+                let seg_cap = wire.cap_per_um * tree.node(c).edge_length;
+                load.add_scaled_assign(&upward_load[c.index()], 1.0);
+                load.add_constant(seg_cap);
+            }
+            upward_load[i] = match buffers[i] {
+                Some(ty) => {
+                    buffer_load[i] = Some(load);
+                    self.model.buffer_cap_form(ty, id, node.location, self.mode)
+                }
+                None => load,
+            };
+        }
+
+        // Downward pass: arrival forms, each dropped after its parent's
+        // last child took it as a base.
+        let root = tree.root();
+        let driver_res = match tree.node(root).kind {
+            NodeKind::Source { driver_resistance } => driver_resistance,
+            _ => panic!("root must be a source"),
+        };
+        let mut pending: Vec<u32> = tree.iter().map(|(_, v)| v.children.len() as u32).collect();
+        let mut arrival: Vec<Option<CanonicalForm>> = vec![None; n];
+        arrival[root.index()] = Some(upward_load[root.index()].scaled(driver_res));
+        let mut earliest = Fold::new(stat_min_assign);
+        for (id, node) in tree.iter().skip(1) {
+            let parent = node.parent.expect("non-root").index();
+            let base = arrival[parent]
+                .as_ref()
+                .expect("parent id precedes child id");
+            let seg = wire.segment(node.edge_length);
+            let up = std::mem::take(&mut upward_load[id.index()]);
+            // Wire delay r·l·(c·l/2 + upward load of child).
+            let mut t = base.linear_combination(1.0, &up, seg.resistance);
+            t.add_constant(seg.resistance * seg.capacitance / 2.0);
+            if let Some(ty) = buffers[id.index()] {
+                let delay = self
+                    .model
+                    .buffer_delay_form(ty, id, node.location, self.mode);
+                t = t.add(&delay).linear_combination(
+                    1.0,
+                    buffer_load[id.index()].as_ref().expect("buffered"),
+                    self.model.buffer_resistance(ty),
+                );
+                buffer_load[id.index()] = None;
+            }
+            pending[parent] -= 1;
+            if pending[parent] == 0 {
+                arrival[parent] = None;
+            }
+            if matches!(node.kind, NodeKind::Sink { .. }) {
+                let t = Arc::new(t);
+                // A send fails only if the max fold panicked; the join
+                // re-raises that panic.
+                let _ = max_fold.send(Arc::clone(&t));
+                earliest.push(&t);
+                keep(id, t);
+            } else if !node.children.is_empty() {
+                arrival[id.index()] = Some(t);
+            }
+        }
+        earliest
+    }
 }
 
-// merge_pair_stat and StatSolution are the RAT-side analogues; referenced
-// here so the module docs' "downward analogue" claim stays anchored.
-#[allow(unused)]
-fn _anchor(a: &StatSolution, b: &StatSolution) -> StatSolution {
-    merge_pair_stat(a, b)
+/// Sink arrivals queued between the walk and the max fold: enough to
+/// ride out a burst of cheap arrivals, small next to the tree.
+const FOLD_QUEUE: usize = 64;
+
+/// One running Clark extreme over sink arrivals, folded in place: each
+/// step writes into a recycled scratch form and swaps it in.
+struct Fold {
+    kernel: fn(&mut CanonicalForm, &CanonicalForm, &CanonicalForm) -> f64,
+    acc: Option<CanonicalForm>,
+    scratch: CanonicalForm,
+}
+
+impl Fold {
+    fn new(kernel: fn(&mut CanonicalForm, &CanonicalForm, &CanonicalForm) -> f64) -> Self {
+        Self {
+            kernel,
+            acc: None,
+            scratch: CanonicalForm::default(),
+        }
+    }
+
+    fn push(&mut self, arrival: &CanonicalForm) {
+        match &mut self.acc {
+            None => self.acc = Some(arrival.clone()),
+            Some(acc) => {
+                (self.kernel)(&mut self.scratch, acc, arrival);
+                std::mem::swap(acc, &mut self.scratch);
+            }
+        }
+    }
+
+    fn finish(self) -> CanonicalForm {
+        self.acc.expect("tree must have at least one sink")
+    }
 }
 
 #[cfg(test)]

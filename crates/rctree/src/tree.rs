@@ -134,6 +134,12 @@ impl Error for TreeError {}
 /// attach internal nodes and sinks. All structural invariants are checked
 /// by [`RoutingTree::validate`].
 ///
+/// Node ids are **topological**: attaching only appends, so every
+/// parent's id is below its children's, for generated, subdivided and
+/// file-read trees alike. Ascending id order ([`RoutingTree::iter`]) is
+/// therefore a valid parent-before-child schedule, and descending id
+/// order a valid children-before-parent one.
+///
 /// ```
 /// use varbuf_rctree::{RoutingTree, NodeKind, Point, WireParams};
 ///

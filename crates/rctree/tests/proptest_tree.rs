@@ -44,6 +44,31 @@ fn postorder_is_a_valid_schedule() {
 }
 
 #[test]
+fn node_ids_are_topological() {
+    let mut trees: Vec<_> = (1..=10)
+        .map(|levels| generate_htree(&HTreeSpec::with_levels(levels)))
+        .collect();
+    let mut rng = SplitMix64::new(0x70B0);
+    for _ in 0..16 {
+        let sinks = 1 + rng.below(119);
+        let seed = rng.next_u64() % 1000;
+        let tree = generate_benchmark(&BenchmarkSpec::random("topo", sinks, seed));
+        trees.push(tree.subdivided(300.0));
+        let mut buf = Vec::new();
+        write_tree(&tree, &mut buf).expect("write");
+        trees.push(read_tree(buf.as_slice()).expect("read"));
+        trees.push(tree);
+    }
+    for tree in &trees {
+        assert!(tree.node(tree.root()).parent.is_none());
+        for (id, node) in tree.iter().skip(1) {
+            let parent = node.parent.expect("non-root has a parent");
+            assert!(parent < id, "{}: parent {parent} of {id}", tree.name());
+        }
+    }
+}
+
+#[test]
 fn io_roundtrip() {
     let mut rng = SplitMix64::new(2);
     for _ in 0..48 {

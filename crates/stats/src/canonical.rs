@@ -220,6 +220,11 @@ impl CanonicalForm {
         self.nominal += c;
     }
 
+    /// Overwrites the nominal value, keeping the terms.
+    pub(crate) fn set_mean(&mut self, nominal: f64) {
+        self.nominal = nominal;
+    }
+
     /// Returns `self + c` without mutating.
     #[must_use]
     pub fn plus_constant(&self, c: f64) -> Self {

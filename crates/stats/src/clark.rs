@@ -151,6 +151,43 @@ pub fn stat_max(a: &CanonicalForm, b: &CanonicalForm) -> MinMaxResult {
     }
 }
 
+/// In-place [`stat_max`]: overwrites `dest` with the blended form of
+/// `max(a, b)` and returns the tightness probability `P(a > b)`.
+///
+/// Bitwise identical to `stat_max(a, b).form` without its four
+/// negated copies, its fresh result form and its residual-variance
+/// passes. The identity it rests on: negation is exact and IEEE-754
+/// rounding is sign-symmetric, so `(−b) − (−a)` is `a − b`, and every
+/// term of `−(t·(−a) + (1−t)·(−b))` is `t·a + (1−t)·b` — a term that
+/// cancels to `±0.0` is dropped either way. Only the mean needs the
+/// negated evaluation order, because there a cancelled `±0.0` survives
+/// and its sign depends on the order. `dest` must be a distinct form
+/// from both operands (the borrow checker enforces it).
+pub fn stat_max_assign(dest: &mut CanonicalForm, a: &CanonicalForm, b: &CanonicalForm) -> f64 {
+    let (dmu, dvar) = a.sub_stats(b); // moments of (−b) − (−a)
+    let sigma = dvar.sqrt();
+
+    if sigma <= f64::EPSILON * (a.mean().abs() + b.mean().abs() + 1.0) {
+        return if dmu > 0.0 {
+            dest.copy_from(a);
+            1.0
+        } else if dmu < 0.0 {
+            dest.copy_from(b);
+            0.0
+        } else {
+            dest.copy_from(a);
+            0.5
+        };
+    }
+
+    let z = dmu / sigma;
+    let t = norm_cdf(z);
+    dest.lin_comb_into(a, t, b, 1.0 - t);
+    let neg_mean = (t * -a.mean() + (1.0 - t) * -b.mean()) + -(sigma * norm_pdf(z));
+    dest.set_mean(-neg_mean);
+    t
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +306,50 @@ mod tests {
             assert_eq!(t.to_bits(), r.tightness.to_bits());
             assert_eq!(dest.mean().to_bits(), r.form.mean().to_bits());
             assert_eq!(dest.term_count(), r.form.term_count());
+            for (x, y) in dest.terms().zip(r.form.terms()) {
+                assert_eq!(x.0, y.0);
+                assert_eq!(x.1.to_bits(), y.1.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn stat_max_assign_matches_stat_max_bitwise() {
+        let cases = [
+            // Clear winner, in both operand orders.
+            (form(0.0, &[(0, 0.1)]), form(100.0, &[(1, 0.1)])),
+            (form(100.0, &[(1, 0.1)]), form(0.0, &[(0, 0.1)])),
+            // Tie: equal means, independent sources.
+            (form(3.0, &[(0, 1.0)]), form(3.0, &[(1, 1.0)])),
+            // Deterministic orderings (shared source, shifted means).
+            (form(1.0, &[(0, 2.0)]), form(4.0, &[(0, 2.0)])),
+            (form(4.0, &[(0, 2.0)]), form(1.0, &[(0, 2.0)])),
+            // Identical operands.
+            (form(2.0, &[(0, 1.0)]), form(2.0, &[(0, 1.0)])),
+            // A matched term that cancels to zero at t = ½.
+            (
+                form(5.0, &[(0, 1.0), (1, 1.0)]),
+                form(5.0, &[(0, -1.0), (2, 1.0)]),
+            ),
+            // ±0.0 means, blended and with a φ(z) that underflows to 0.
+            (form(0.0, &[(0, 1.0)]), form(-0.0, &[(1, 1.0)])),
+            (form(-0.0, &[(0, 1.0)]), form(0.0, &[(1, 1.0)])),
+            (form(0.0, &[(0, 1.0)]), form(-1e3, &[(1, 1e-3)])),
+            (form(-0.0, &[(0, 1e-3)]), form(1e3, &[(1, 1.0)])),
+        ];
+        for (a, b) in &cases {
+            let r = stat_max(a, b);
+            let mut dest = form(99.0, &[(42, 7.0)]);
+            let t = stat_max_assign(&mut dest, a, b);
+            assert_eq!(t.to_bits(), r.tightness.to_bits(), "{a} vs {b}");
+            assert_eq!(
+                dest.mean().to_bits(),
+                r.form.mean().to_bits(),
+                "{a} vs {b}: mean {} vs {}",
+                dest.mean(),
+                r.form.mean()
+            );
+            assert_eq!(dest.term_count(), r.form.term_count(), "{a} vs {b}");
             for (x, y) in dest.terms().zip(r.form.terms()) {
                 assert_eq!(x.0, y.0);
                 assert_eq!(x.1.to_bits(), y.1.to_bits());

@@ -53,7 +53,7 @@ pub mod mc;
 pub mod rng;
 
 pub use canonical::{CanonicalForm, SourceId};
-pub use clark::{stat_max, stat_min, MinMaxResult};
+pub use clark::{stat_max, stat_max_assign, stat_min, stat_min_assign, MinMaxResult};
 pub use gaussian::{norm_cdf, norm_pdf, norm_quantile, prob_greater_normal};
 pub use histogram::Histogram;
 pub use interner::{

@@ -693,7 +693,7 @@ fn cmd_cts(args: &[String]) -> Result<Outcome, String> {
         g.hier.cut_count, g.hier.spliced_dropped, g.hier.peak_chunk_bytes, g.hier.final_frontier_cap
     );
     let analysis =
-        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).analyze(&r.assignment);
+        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).extremes(&r.assignment);
     let skew = analysis.global_skew();
     println!("global skew {:.2} ± {:.2} ps", skew.mean(), skew.std_dev());
     let targets: Vec<f64> = match flag_value(args, "--skew-target") {
@@ -724,11 +724,11 @@ fn cmd_skew(args: &[String]) -> Result<Outcome, String> {
     let wid = optimize_statistical(&tree, &model, VariationMode::WithinDie, &Options::default())
         .map_err(|e| e.to_string())?;
     let analysis =
-        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).analyze(&wid.assignment);
+        SkewAnalyzer::new(&tree, &model, VariationMode::WithinDie).extremes(&wid.assignment);
     let skew = analysis.global_skew();
     println!(
         "{} sinks, {} buffers: global skew {:.2} ± {:.2} ps",
-        analysis.arrivals.len(),
+        tree.sink_count(),
         wid.assignment.len(),
         skew.mean(),
         skew.std_dev()
