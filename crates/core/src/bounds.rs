@@ -234,17 +234,19 @@ fn stat_anchor(
             if bt.max_load.is_some_and(|m| sol.load.mean() > m) {
                 return None;
             }
-            let (cap_form, delay_form) = &ctx.device_forms(id)[ty];
+            let ty = BufferTypeId(ty);
+            let cap_form = ctx.model.buffer_cap_form(ty, id, node.location, ctx.mode);
+            let delay_form = ctx.model.buffer_delay_form(ty, id, node.location, ctx.mode);
             let mut buffered =
                 StatSolution::new(CanonicalForm::constant(0.0), CanonicalForm::constant(0.0));
             buffer_extend_stat_into(
                 &mut buffered,
                 &sol,
-                cap_form,
-                delay_form,
+                &cap_form,
+                &delay_form,
                 bt.resistance,
                 id,
-                BufferTypeId(ty),
+                ty,
             );
             sol = buffered;
         }

@@ -850,37 +850,25 @@ impl<'r> Supervisor<'r> for GovSupervisor<'r, '_> {
     }
 }
 
-/// Immutable per-run context: the run's inputs plus every node-indexed
-/// table the DP would otherwise recompute at each visit. Built once in
-/// `run_engine` *before* the speculative parallel phase, then shared
-/// read-only by the sequential loop and every pool worker:
+/// Immutable per-run context: the run's inputs plus the node-indexed
+/// wire table the DP would otherwise recompute at each visit. Built once
+/// in `run_engine` *before* the speculative parallel phase, then shared
+/// read-only by the sequential loop and every pool worker.
 ///
-/// * **device forms** — the `(C_b, T_b)` canonical-form pair of every
-///   `(candidate node, buffer type)` combination, computed by one
-///   [`ProcessModel::precompute_device_forms`] sweep. This evaluates the
-///   spatial-correlation weights once per location instead of `2·B`
-///   times per node visit, and removes the per-call term-vector
-///   allocations from the buffering step entirely;
-/// * **wire segments** — the width-scaled RC segment of every
-///   `(edge, width index)` pair; segments depend on nothing else, so the
-///   lift step becomes a pure table lookup.
-///
-/// Both tables hold bitwise the values the per-call paths produce
-/// (pinned by `precomputed_device_forms_match_per_call_path_bitwise` in
-/// `varbuf-variation` and by this module's golden regressions), so
-/// cached and uncached runs are indistinguishable.
+/// **Wire segments** — the width-scaled RC segment of every
+/// `(edge, width index)` pair — depend on nothing else, so the lift step
+/// is a pure table lookup. **Device forms** are deliberately *not*
+/// tabled: only a candidate's own buffering step reads its `(C_b, T_b)`
+/// forms (about 47 terms each under WID), so `process_node` builds them
+/// there, into the worker's [`SolPool`] scratch, and overwrites them at
+/// the next candidate. A whole-net table held 444 MB and took 0.74 s to
+/// build on the 64k H-tree, for no reuse within a run.
 pub(crate) struct RunCtx<'a> {
     pub(crate) tree: &'a RoutingTree,
     pub(crate) model: &'a ProcessModel,
     pub(crate) sizing: &'a WireSizing,
-    /// `node.index()` → row of `device_forms` (`u32::MAX` for nodes that
-    /// are not buffer candidates).
-    device_rows: Vec<u32>,
-    /// Per candidate node: `(cap_form, delay_form)` indexed by buffer
-    /// type id. Shared through the model's per-net memo, so repeat runs
-    /// on one net (governed retries, yield re-evaluation) skip the
-    /// spatial taper scan and hand out the *same* table.
-    device_forms: std::sync::Arc<varbuf_variation::DeviceFormTable>,
+    /// The variation categories the device forms model.
+    pub(crate) mode: VariationMode,
     /// `node.index() * widths + wi` → the edge segment above `node`
     /// scaled to width `wi`.
     segments: Vec<WireSegment>,
@@ -926,17 +914,6 @@ impl<'a> RunCtx<'a> {
         mode: VariationMode,
         sizing: &'a WireSizing,
     ) -> Self {
-        let mut device_rows = vec![u32::MAX; tree.len()];
-        let mut locations = Vec::new();
-        for (i, row) in device_rows.iter_mut().enumerate() {
-            let id = NodeId(u32::try_from(i).expect("node count fits u32"));
-            let node = tree.node(id);
-            if node.is_candidate {
-                *row = u32::try_from(locations.len()).expect("node count fits u32");
-                locations.push((id, node.location));
-            }
-        }
-        let device_forms = model.device_forms_cached(&locations, mode);
         let wire = tree.wire();
         let widths = sizing.widths();
         let mut segments = Vec::with_capacity(tree.len() * widths.len());
@@ -953,8 +930,7 @@ impl<'a> RunCtx<'a> {
             tree,
             model,
             sizing,
-            device_rows,
-            device_forms,
+            mode,
             segments,
             bounds: None,
             lishi: false,
@@ -1003,18 +979,13 @@ impl<'a> RunCtx<'a> {
     pub(crate) fn segment(&self, node: NodeId, wi: usize) -> &WireSegment {
         &self.segments[node.index() * self.sizing.widths().len() + wi]
     }
-
-    /// The cached `(cap_form, delay_form)` pairs of a candidate node,
-    /// indexed by buffer-type id.
-    pub(crate) fn device_forms(&self, node: NodeId) -> &[(CanonicalForm, CanonicalForm)] {
-        &self.device_forms[self.device_rows[node.index()] as usize]
-    }
 }
 
 /// Recycles the engine's transient allocations: candidate-list `Vec`s,
 /// the solution carcasses inside them (term vectors keep their
 /// capacity), the batched-key prune scratch, the sorted-merge key
-/// buffers, and the dominance-flag scratch of the quadratic prune. One
+/// buffers, the dominance-flag scratch of the quadratic prune, and the
+/// current candidate's device forms with their taper-weight scratch. One
 /// pool per worker — never shared.
 #[derive(Default)]
 pub(crate) struct SolPool {
@@ -1023,6 +994,8 @@ pub(crate) struct SolPool {
     pub(crate) scratch: PruneScratch,
     merge_keys: (Vec<f64>, Vec<f64>),
     flags: Vec<bool>,
+    device_weights: Vec<(usize, f64)>,
+    device_forms: Vec<(CanonicalForm, CanonicalForm)>,
 }
 
 impl SolPool {
@@ -1100,9 +1073,9 @@ fn run_engine(
         return Err(InsertionError::NoSinks);
     }
 
-    // All node-indexed tables (device forms, wire segments) are built
-    // once here, before the speculative phase, so the parallel workers
-    // and the sequential fallback read the exact same cached values.
+    // The wire-segment table is built once here, before the speculative
+    // phase, so the parallel workers and the sequential fallback read the
+    // exact same cached values.
     let mut ctx = RunCtx::new(tree, model, mode, sizing);
 
     // Bound-guided pruning arms only when the run cannot degrade:
@@ -1196,10 +1169,10 @@ fn run_engine(
 /// supervisor's admission/integrity policy. Returns the node's
 /// surviving candidate list.
 ///
-/// The hot path is allocation-free in steady state: wire segments and
-/// device forms come from [`RunCtx`]'s tables, new solutions are
-/// recycled carcasses from the worker's [`SolPool`], and pruning runs
-/// over the pool's batched-key scratch.
+/// The hot path is allocation-free in steady state: wire segments come
+/// from [`RunCtx`]'s table, device forms are rebuilt in the worker's
+/// [`SolPool`] scratch, new solutions are recycled carcasses from the
+/// same pool, and pruning runs over the pool's batched-key scratch.
 #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
 pub(crate) fn process_node<'r, S: Supervisor<'r>>(
     ctx: &RunCtx<'_>,
@@ -1325,10 +1298,20 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
         sup.check_time()?;
         let t_buf = Instant::now();
         let mut buffered = pool.take(0);
+        // This candidate's device forms, built into the pool's scratch
+        // (taken out for the loop, which also draws carcasses from the
+        // pool) and overwritten at the next candidate.
+        let mut forms = std::mem::take(&mut pool.device_forms);
+        ctx.model.device_forms_into(
+            id,
+            node.location,
+            ctx.mode,
+            &mut pool.device_weights,
+            &mut forms,
+        );
         {
             let rh = sup.rule();
             let rule = rh.get();
-            let forms = ctx.device_forms(id);
             for (ty, bt) in ctx.model.library().iter() {
                 let (cap_form, delay_form) = &forms[ty.0];
                 let resistance = bt.resistance;
@@ -1434,6 +1417,7 @@ pub(crate) fn process_node<'r, S: Supervisor<'r>>(
                 }
             }
         }
+        pool.device_forms = forms;
         sols.append(&mut buffered);
         pool.put(buffered);
         stats.buffer_time += t_buf.elapsed();

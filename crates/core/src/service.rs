@@ -132,8 +132,7 @@ impl FromStr for SessionHandle {
     }
 }
 
-/// One resident net: the routing tree plus its process model (whose
-/// device-form memo amortizes across this session's requests), the
+/// One resident net: the routing tree plus its process model, the
 /// per-node content signatures that detect what an `edit` dirtied, and
 /// the epoch-scoped solution cache the incremental engine replays.
 #[derive(Debug)]

@@ -87,29 +87,72 @@ impl CanonicalForm {
     /// Builds a form from a nominal value and a term list.
     ///
     /// The terms may be unsorted and may contain duplicates; duplicates are
-    /// summed and zero coefficients dropped. Inputs that already satisfy
-    /// the invariant (strictly ascending ids, no zero coefficients) — the
-    /// overwhelmingly common case inside the DP operations — skip the
-    /// sort-and-compact pass entirely.
+    /// summed and zero coefficients dropped. Strictly ascending inputs —
+    /// the overwhelmingly common case inside the DP operations — skip the
+    /// sort-and-fold pass entirely (see
+    /// [`assign_terms`](Self::assign_terms)).
     #[must_use]
-    pub fn with_terms(nominal: f64, mut terms: Vec<(SourceId, f64)>) -> Self {
-        if !Self::terms_canonical(&terms) {
-            terms.sort_unstable_by_key(|&(id, _)| id);
-            let mut compact: Vec<(SourceId, f64)> = Vec::with_capacity(terms.len());
-            for (id, coeff) in terms {
-                match compact.last_mut() {
-                    Some((last_id, last_coeff)) if *last_id == id => *last_coeff += coeff,
-                    _ => compact.push((id, coeff)),
+    pub fn with_terms(nominal: f64, terms: Vec<(SourceId, f64)>) -> Self {
+        let mut out = Self {
+            nominal,
+            ids: Vec::with_capacity(terms.len()),
+            coeffs: Vec::with_capacity(terms.len()),
+        };
+        out.assign_terms(nominal, terms);
+        out
+    }
+
+    /// In-place [`with_terms`](Self::with_terms): overwrites `self` with
+    /// `nominal` and the canonicalized `terms`, reusing `self`'s term
+    /// capacity.
+    ///
+    /// A strictly ascending input — zero coefficients allowed, they are
+    /// dropped in place — never allocates once `self` has grown to its
+    /// working size. Any other input is sorted by id and its duplicates
+    /// summed in sorted order before the zero drop. The iterator is
+    /// walked twice — ids, then coefficients, each a straight
+    /// `extend` into its array — so it should be cheap to clone.
+    pub fn assign_terms<I>(&mut self, nominal: f64, terms: I)
+    where
+        I: IntoIterator<Item = (SourceId, f64)>,
+        I::IntoIter: Clone,
+    {
+        self.nominal = nominal;
+        self.ids.clear();
+        self.coeffs.clear();
+        let terms = terms.into_iter();
+        self.ids.extend(terms.clone().map(|(id, _)| id));
+        self.coeffs.extend(terms.map(|(_, c)| c));
+        let ascending = self.ids.windows(2).all(|w| w[0] < w[1]);
+        let zeros = self.coeffs.contains(&0.0);
+        if ascending && !zeros {
+            return;
+        }
+        if !ascending {
+            let mut sorted: Vec<(SourceId, f64)> = self.terms().collect();
+            sorted.sort_unstable_by_key(|&(id, _)| id);
+            self.ids.clear();
+            self.coeffs.clear();
+            for (id, coeff) in sorted {
+                match self.coeffs.last_mut() {
+                    Some(last) if self.ids.last() == Some(&id) => *last += coeff,
+                    _ => {
+                        self.ids.push(id);
+                        self.coeffs.push(coeff);
+                    }
                 }
             }
-            compact.retain(|&(_, c)| c != 0.0);
-            terms = compact;
         }
-        Self {
-            nominal,
-            ids: terms.iter().map(|&(id, _)| id).collect(),
-            coeffs: terms.iter().map(|&(_, c)| c).collect(),
+        let mut w = 0usize;
+        for r in 0..self.ids.len() {
+            if self.coeffs[r] != 0.0 {
+                self.ids[w] = self.ids[r];
+                self.coeffs[w] = self.coeffs[r];
+                w += 1;
+            }
         }
+        self.ids.truncate(w);
+        self.coeffs.truncate(w);
     }
 
     /// The nominal (mean) value `v0`.
@@ -446,20 +489,6 @@ impl CanonicalForm {
             return if self.nominal >= x { 1.0 } else { 0.0 };
         }
         norm_cdf((self.nominal - x) / sigma)
-    }
-
-    /// Whether a term list already satisfies the representation
-    /// invariant: strictly ascending ids with no zero coefficients.
-    #[inline]
-    fn terms_canonical(terms: &[(SourceId, f64)]) -> bool {
-        let mut prev: Option<SourceId> = None;
-        for &(id, c) in terms {
-            if c == 0.0 || prev.is_some_and(|p| p >= id) {
-                return false;
-            }
-            prev = Some(id);
-        }
-        true
     }
 
     /// Overwrites `self` with `src`, reusing `self`'s term capacity.
@@ -847,6 +876,49 @@ mod tests {
         // Equal ids force the slow path and are summed.
         let h = CanonicalForm::with_terms(0.0, vec![(SourceId(4), 1.0), (SourceId(4), 2.0)]);
         assert_eq!(terms_of(&h), vec![(SourceId(4), 3.0)]);
+    }
+
+    #[test]
+    fn assign_terms_matches_with_terms_bitwise() {
+        // The sort-fold-drop reference the in-place constructor replaced:
+        // duplicates summed in sorted order, then exact zeros dropped.
+        fn reference(mut terms: Vec<(SourceId, f64)>) -> Vec<(SourceId, f64)> {
+            terms.sort_unstable_by_key(|&(id, _)| id);
+            let mut compact: Vec<(SourceId, f64)> = Vec::new();
+            for (id, c) in terms {
+                match compact.last_mut() {
+                    Some((last, acc)) if *last == id => *acc += c,
+                    _ => compact.push((id, c)),
+                }
+            }
+            compact.retain(|&(_, c)| c != 0.0);
+            compact
+        }
+        let cases: Vec<Vec<(u32, f64)>> = vec![
+            vec![(1, 2.0), (3, -1.5), (9, 0.25)],
+            vec![(9, 0.25), (1, 2.0), (3, -1.5), (0, 7.0)],
+            vec![(4, 0.1), (2, 1.0), (4, 0.2), (4, 0.3), (2, -1.0)],
+            vec![(0, 0.0), (1, 3.0), (2, -0.0), (5, 1.0)],
+            vec![(5, -0.0), (1, 0.0), (1, 2.0)],
+            vec![(3, 1.5), (3, -1.5), (7, 0.0)],
+            vec![],
+        ];
+        for raw in cases {
+            let terms: Vec<(SourceId, f64)> = raw.iter().map(|&(i, c)| (SourceId(i), c)).collect();
+            let fresh = CanonicalForm::with_terms(1.5, terms.clone());
+            // A dirty destination holding more terms than the input.
+            let mut inplace = form(-9.0, &[(0, 1.0), (2, 2.0), (4, 3.0), (6, 4.0), (8, 5.0)]);
+            inplace.assign_terms(1.5, terms.iter().copied());
+            for f in [&fresh, &inplace] {
+                assert_eq!(f.mean().to_bits(), 1.5f64.to_bits());
+                let got: Vec<(u32, u64)> = f.terms().map(|(id, c)| (id.0, c.to_bits())).collect();
+                let want: Vec<(u32, u64)> = reference(terms.clone())
+                    .into_iter()
+                    .map(|(id, c)| (id.0, c.to_bits()))
+                    .collect();
+                assert_eq!(got, want, "{raw:?}");
+            }
+        }
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use crate::library::{BufferLibrary, BufferType, BufferTypeId};
 use crate::sources::SourceLayout;
 use crate::spatial::{SpatialKind, SpatialModel};
-use std::sync::{Arc, Mutex};
 use varbuf_rctree::elmore::BufferValues;
 use varbuf_rctree::geom::{BoundingBox, Point};
 use varbuf_rctree::NodeId;
@@ -101,51 +100,6 @@ impl VariationMode {
     }
 }
 
-/// Precomputed device forms for one candidate set: the outer vector is
-/// indexed by position in the location list, the inner slice by buffer
-/// type id; each entry is the `(capacitance, delay)` canonical-form pair.
-pub type DeviceFormTable = Vec<Box<[(CanonicalForm, CanonicalForm)]>>;
-
-/// How many candidate sets [`ProcessModel::device_forms_cached`] keeps —
-/// enough for the mode/sizing variants of one net without letting an
-/// interleaved multi-net sweep pin every table in memory.
-const FORMS_CACHE_CAP: usize = 2;
-
-/// Per-net memo of [`ProcessModel::precompute_device_forms`] results.
-///
-/// Candidate locations are fixed per net, but one net is optimized many
-/// times — the governed fallback cascade retries with cheaper rules,
-/// yield evaluation re-runs the DP per mode, and sweeps revisit the same
-/// tree — and each run used to repay the full spatial taper scan
-/// (~10 ms at 1024 sinks). The memo hands every repeat run the identical
-/// `Arc`'d table, so only the first run per `(locations, mode)` pays.
-///
-/// The cache is an optimization, not model state: clones start cold and
-/// equality ignores it entirely.
-#[derive(Debug, Default)]
-struct FormsCache {
-    entries: Mutex<Vec<FormsCacheEntry>>,
-}
-
-#[derive(Debug)]
-struct FormsCacheEntry {
-    mode: VariationMode,
-    locations: Vec<(NodeId, Point)>,
-    table: Arc<DeviceFormTable>,
-}
-
-impl Clone for FormsCache {
-    fn clone(&self) -> Self {
-        Self::default()
-    }
-}
-
-impl PartialEq for FormsCache {
-    fn eq(&self, _: &Self) -> bool {
-        true
-    }
-}
-
 /// The assembled process model for one die.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProcessModel {
@@ -153,7 +107,6 @@ pub struct ProcessModel {
     spatial: SpatialModel,
     layout: SourceLayout,
     library: BufferLibrary,
-    forms_cache: FormsCache,
 }
 
 impl ProcessModel {
@@ -172,7 +125,6 @@ impl ProcessModel {
             spatial,
             layout,
             library,
-            forms_cache: FormsCache::default(),
         }
     }
 
@@ -222,7 +174,7 @@ impl ProcessModel {
         mode: VariationMode,
     ) -> CanonicalForm {
         let t = self.library.get(ty);
-        self.device_form(t.capacitance, t.cap_sensitivity, ty, node, loc, mode)
+        self.device_form((t.capacitance, t.cap_sensitivity), ty, node, loc, mode)
     }
 
     /// Canonical form of the intrinsic delay `T_b,t` (eq. (24)).
@@ -235,7 +187,13 @@ impl ProcessModel {
         mode: VariationMode,
     ) -> CanonicalForm {
         let t = self.library.get(ty);
-        self.device_form(t.intrinsic_delay, t.delay_sensitivity, ty, node, loc, mode)
+        self.device_form(
+            (t.intrinsic_delay, t.delay_sensitivity),
+            ty,
+            node,
+            loc,
+            mode,
+        )
     }
 
     /// The deterministic output resistance `R_b` of `ty`.
@@ -264,174 +222,105 @@ impl ProcessModel {
         self.budgets.systematic * self.spatial.systematic_pattern(loc)
     }
 
-    fn device_form(
+    /// Overwrites `forms` with the `(C_b, T_b)` canonical-form pair of
+    /// every library type at candidate `node` located at `loc`, indexed
+    /// by buffer-type id: bitwise the forms
+    /// [`buffer_cap_form`](Self::buffer_cap_form) and
+    /// [`buffer_delay_form`](Self::buffer_delay_form) return, but with one
+    /// taper scan (into the caller's `weights` scratch) and one systematic
+    /// shift for the whole location instead of one per form. Both buffers
+    /// keep their capacity, so a caller that reuses them from candidate
+    /// to candidate builds every form without allocating.
+    pub fn device_forms_into(
         &self,
-        nominal: f64,
-        sensitivity: f64,
-        ty: BufferTypeId,
         node: NodeId,
         loc: Point,
         mode: VariationMode,
-    ) -> CanonicalForm {
-        if matches!(mode, VariationMode::Nominal) {
-            return CanonicalForm::constant(nominal);
+        weights: &mut Vec<(usize, f64)>,
+        forms: &mut Vec<(CanonicalForm, CanonicalForm)>,
+    ) {
+        let scale = self.site_into(loc, mode, weights);
+        forms.resize_with(self.library.len(), Default::default);
+        for ((ty, t), (cap, delay)) in self.library.iter().zip(forms.iter_mut()) {
+            let cap_param = (t.capacitance, t.cap_sensitivity);
+            let delay_param = (t.intrinsic_delay, t.delay_sensitivity);
+            self.fill_device_form(cap, cap_param, (ty, node), mode, scale, weights);
+            self.fill_device_form(delay, delay_param, (ty, node), mode, scale, weights);
         }
-        let owned;
-        let weights: &[(usize, f64)] = if matches!(mode, VariationMode::WithinDie) {
-            owned = self.spatial.weights_at(loc);
-            &owned
-        } else {
-            &[]
-        };
-        self.device_form_with_weights(nominal, sensitivity, ty, node, loc, mode, weights)
     }
 
-    /// [`device_form`](Self::device_form) with the location's spatial
-    /// weights supplied by the caller (from a
-    /// [`SpatialWeightTable`](crate::spatial::SpatialWeightTable) cache),
-    /// skipping the per-call taper scan. `weights` must be the
-    /// weights of `loc` (ignored outside `WithinDie`); the result is
-    /// bitwise what the uncached path builds.
-    ///
-    /// Terms are pushed in ascending id order — global (`0`), regions
-    /// (`1..=R`, the weight order), device (`>R`) — so
-    /// `CanonicalForm::with_terms` takes its sorted fast path.
-    #[allow(clippy::too_many_arguments)]
-    fn device_form_with_weights(
+    /// One form of [`device_forms_into`](Self::device_forms_into), built
+    /// fresh for a single `(nominal, sensitivity)` device parameter.
+    fn device_form(
         &self,
-        nominal: f64,
-        sensitivity: f64,
+        param: (f64, f64),
         ty: BufferTypeId,
         node: NodeId,
         loc: Point,
         mode: VariationMode,
-        weights: &[(usize, f64)],
     ) -> CanonicalForm {
+        let mut weights = Vec::new();
+        let scale = self.site_into(loc, mode, &mut weights);
+        let mut form = CanonicalForm::default();
+        self.fill_device_form(&mut form, param, (ty, node), mode, scale, &weights);
+        form
+    }
+
+    /// Prepares one location for [`fill_device_form`](Self::fill_device_form):
+    /// under `WithinDie`, fills `weights` with the location's taper
+    /// weights and returns its nominal scale `1 + systematic_shift`;
+    /// otherwise clears `weights` (the scale is then unused).
+    fn site_into(&self, loc: Point, mode: VariationMode, weights: &mut Vec<(usize, f64)>) -> f64 {
+        if matches!(mode, VariationMode::WithinDie) {
+            self.spatial.weights_into(loc, weights);
+            1.0 + self.systematic_shift(loc)
+        } else {
+            weights.clear();
+            1.0
+        }
+    }
+
+    /// The one copy of the eq. (23)–(24) coefficient arithmetic:
+    /// overwrites `out` with the form of the device parameter
+    /// `(nominal, sensitivity)` of instance `(ty, node)` at a location
+    /// prepared by [`site_into`](Self::site_into).
+    ///
+    /// Terms go in ascending id order — global (`0`), regions (`1..=R`,
+    /// the weight order), device (`>R`) — so `assign_terms` skips its
+    /// sort and only drops the zero coefficients a zero budget yields.
+    fn fill_device_form(
+        &self,
+        out: &mut CanonicalForm,
+        (nominal, sensitivity): (f64, f64),
+        (ty, node): (BufferTypeId, NodeId),
+        mode: VariationMode,
+        scale: f64,
+        weights: &[(usize, f64)],
+    ) {
         if matches!(mode, VariationMode::Nominal) {
-            return CanonicalForm::constant(nominal);
+            out.assign_terms(nominal, []);
+            return;
         }
         // Only a WID-aware model sees the systematic intra-die pattern;
         // NOM and D2D optimizers assume the data-sheet nominal everywhere.
         let nominal = if matches!(mode, VariationMode::WithinDie) {
-            nominal * (1.0 + self.systematic_shift(loc))
+            nominal * scale
         } else {
             nominal
         };
         let base = nominal * sensitivity;
-        let mut terms = Vec::with_capacity(2 + weights.len());
-        // Inter-die global source.
-        terms.push((self.layout.global(), self.budgets.inter_die * base));
-        // Spatially correlated sources.
-        if matches!(mode, VariationMode::WithinDie) {
-            let coeff = self.budgets.intra_die * base;
-            for &(region, w) in weights {
-                terms.push((self.layout.region(region), coeff * w));
-            }
-        }
-        // Random per-device source.
-        terms.push((self.layout.device(node, ty.0), self.budgets.random * base));
-        CanonicalForm::with_terms(nominal, terms)
-    }
-
-    /// Precomputes the `(capacitance, delay)` canonical-form pair of
-    /// **every** buffer type at **every** candidate location, doing one
-    /// spatial taper scan per location instead of one per
-    /// `buffer_cap_form`/`buffer_delay_form` call (the DP queries each
-    /// node `2 × |library|` times). The outer vector is indexed by
-    /// position in `locations`, the inner slice by buffer type id; forms
-    /// are bitwise identical to the per-call path.
-    #[must_use]
-    pub fn precompute_device_forms(
-        &self,
-        locations: &[(NodeId, Point)],
-        mode: VariationMode,
-    ) -> DeviceFormTable {
-        let mut scratch = Vec::new();
-        locations
+        let spatial = self.budgets.intra_die * base;
+        let global = (self.layout.global(), self.budgets.inter_die * base);
+        let regions = weights
             .iter()
-            .map(|&(node, loc)| {
-                if matches!(mode, VariationMode::WithinDie) {
-                    self.spatial.weights_into(loc, &mut scratch);
-                } else {
-                    scratch.clear();
-                }
-                self.library
-                    .iter()
-                    .map(|(ty, t)| {
-                        (
-                            self.device_form_with_weights(
-                                t.capacitance,
-                                t.cap_sensitivity,
-                                ty,
-                                node,
-                                loc,
-                                mode,
-                                &scratch,
-                            ),
-                            self.device_form_with_weights(
-                                t.intrinsic_delay,
-                                t.delay_sensitivity,
-                                ty,
-                                node,
-                                loc,
-                                mode,
-                                &scratch,
-                            ),
-                        )
-                    })
-                    .collect()
-            })
-            .collect()
-    }
-
-    /// [`precompute_device_forms`](Self::precompute_device_forms) behind
-    /// the model's per-net memo: the first call for a `(locations, mode)`
-    /// pair computes and stores the table; every later call with the same
-    /// candidate set returns the stored `Arc` — the *same* forms, so
-    /// repeat runs (governed fallback retries, yield re-evaluation,
-    /// per-rule sweeps over one net) are trivially bitwise identical and
-    /// skip the spatial taper scan entirely.
-    ///
-    /// The memo keeps the last [`FORMS_CACHE_CAP`] candidate sets
-    /// (mode × sizing variants of one net); an interleaved multi-net
-    /// workload simply recomputes, it never gets stale data because the
-    /// key is the full location list. Model clones (e.g.
-    /// [`for_net`](Self::for_net), which changes device source ids) start
-    /// with a cold cache.
-    #[must_use]
-    pub fn device_forms_cached(
-        &self,
-        locations: &[(NodeId, Point)],
-        mode: VariationMode,
-    ) -> Arc<DeviceFormTable> {
-        if let Ok(entries) = self.forms_cache.entries.lock() {
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.mode == mode && e.locations == locations)
-            {
-                return Arc::clone(&e.table);
-            }
-        }
-        let table = Arc::new(self.precompute_device_forms(locations, mode));
-        if let Ok(mut entries) = self.forms_cache.entries.lock() {
-            // Re-check under the lock: a racing worker may have inserted
-            // the same key; keep the first table so concurrent runs share.
-            if let Some(e) = entries
-                .iter()
-                .find(|e| e.mode == mode && e.locations == locations)
-            {
-                return Arc::clone(&e.table);
-            }
-            if entries.len() >= FORMS_CACHE_CAP {
-                entries.remove(0);
-            }
-            entries.push(FormsCacheEntry {
-                mode,
-                locations: locations.to_vec(),
-                table: Arc::clone(&table),
-            });
-        }
-        table
+            .map(|&(region, w)| (self.layout.region(region), spatial * w));
+        let device = (self.layout.device(node, ty.0), self.budgets.random * base);
+        out.assign_terms(
+            nominal,
+            std::iter::once(global)
+                .chain(regions)
+                .chain(std::iter::once(device)),
+        );
     }
 
     /// Concrete [`BufferValues`] for one Monte Carlo realization: the
@@ -609,63 +498,78 @@ mod tests {
     }
 
     #[test]
-    fn precomputed_device_forms_match_per_call_path_bitwise() {
-        for kind in [SpatialKind::Homogeneous, SpatialKind::Heterogeneous] {
-            let m = model(kind);
-            let locations = [
-                (NodeId(1), Point::new(100.0, 100.0)),
-                (NodeId(7), Point::new(4000.0, 4000.0)),
-                (NodeId(12), Point::new(7900.0, 7900.0)),
-            ];
-            for mode in [
-                VariationMode::Nominal,
-                VariationMode::DieToDie,
-                VariationMode::WithinDie,
-            ] {
-                let table = m.precompute_device_forms(&locations, mode);
-                assert_eq!(table.len(), locations.len());
-                for (slot, &(node, loc)) in locations.iter().enumerate() {
-                    assert_eq!(table[slot].len(), m.library().len());
-                    for (ty, _) in m.library().iter() {
-                        let (cap, delay) = &table[slot][ty.0];
-                        assert_eq!(*cap, m.buffer_cap_form(ty, node, loc, mode));
-                        assert_eq!(*delay, m.buffer_delay_form(ty, node, loc, mode));
+    fn device_forms_into_matches_per_call_forms_bitwise() {
+        use varbuf_rctree::generate::{
+            generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec,
+        };
+        let bits = |f: &CanonicalForm| -> (u64, Vec<(u32, u64)>) {
+            let terms = f.terms().map(|(id, c)| (id.0, c.to_bits())).collect();
+            (f.mean().to_bits(), terms)
+        };
+        let trees = [
+            generate_htree(&HTreeSpec::with_levels(4)),
+            generate_benchmark(&BenchmarkSpec::random("rand", 24, 7)),
+            generate_benchmark(&BenchmarkSpec::random("sub", 6, 3)).subdivided(400.0),
+        ];
+        // The zero budget exercises the zero-coefficient drop.
+        let no_random = VariationBudgets {
+            random: 0.0,
+            ..VariationBudgets::paper_5pct()
+        };
+        for tree in &trees {
+            // Locations in tree order, then the reverse: a corner site
+            // with few taper regions follows one with more, so the
+            // scratch is reused dirty in both directions.
+            let sites: Vec<(NodeId, Point)> = (0..tree.len())
+                .map(|i| NodeId(i as u32))
+                .filter(|&id| tree.node(id).is_candidate)
+                .map(|id| (id, tree.node(id).location))
+                .collect();
+            assert!(sites.len() > 4, "{}", tree.name());
+            let sites = sites.iter().chain(sites.iter().rev());
+            for kind in [SpatialKind::Homogeneous, SpatialKind::Heterogeneous] {
+                for budgets in [VariationBudgets::paper_5pct(), no_random] {
+                    let m = ProcessModel::new(
+                        tree.bounding_box(),
+                        kind,
+                        budgets,
+                        BufferLibrary::default_65nm(),
+                    );
+                    for mode in [
+                        VariationMode::Nominal,
+                        VariationMode::DieToDie,
+                        VariationMode::WithinDie,
+                    ] {
+                        let (mut weights, mut forms) = (Vec::new(), Vec::new());
+                        for &(node, loc) in sites.clone() {
+                            m.device_forms_into(node, loc, mode, &mut weights, &mut forms);
+                            assert_eq!(forms.len(), m.library().len());
+                            for (ty, _) in m.library().iter() {
+                                let (cap, delay) = &forms[ty.0];
+                                let want_cap = m.buffer_cap_form(ty, node, loc, mode);
+                                let want_delay = m.buffer_delay_form(ty, node, loc, mode);
+                                assert_eq!(bits(cap), bits(&want_cap));
+                                assert_eq!(bits(delay), bits(&want_delay));
+                            }
+                        }
                     }
                 }
             }
         }
-    }
-
-    #[test]
-    fn cached_device_forms_share_one_table_and_match_pure_path() {
-        let m = model(SpatialKind::Heterogeneous);
-        let locations = [
-            (NodeId(1), Point::new(100.0, 100.0)),
-            (NodeId(7), Point::new(4000.0, 4000.0)),
-        ];
-        let first = m.device_forms_cached(&locations, VariationMode::WithinDie);
-        let second = m.device_forms_cached(&locations, VariationMode::WithinDie);
-        // Repeat runs on one net get the *same* table, not a recompute.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(
-            *first,
-            m.precompute_device_forms(&locations, VariationMode::WithinDie)
+        // The zero budget really dropped the device term.
+        let m = ProcessModel::new(
+            die(8000.0),
+            SpatialKind::Homogeneous,
+            no_random,
+            BufferLibrary::default_65nm(),
         );
-        // A different mode is a different key, served alongside the first.
-        let d2d = m.device_forms_cached(&locations, VariationMode::DieToDie);
-        assert!(!Arc::ptr_eq(&first, &d2d));
-        assert!(Arc::ptr_eq(
-            &first,
-            &m.device_forms_cached(&locations, VariationMode::WithinDie)
-        ));
-        // Clones (e.g. `for_net`, which changes device ids) start cold.
-        let clone = m.for_net(3);
-        let cloned = clone.device_forms_cached(&locations, VariationMode::WithinDie);
-        assert!(!Arc::ptr_eq(&first, &cloned));
-        assert_eq!(
-            *cloned,
-            clone.precompute_device_forms(&locations, VariationMode::WithinDie)
+        let f = m.buffer_cap_form(
+            BufferTypeId(0),
+            NodeId(3),
+            Point::new(10.0, 10.0),
+            VariationMode::DieToDie,
         );
+        assert_eq!(f.term_count(), 1);
     }
 
     #[test]

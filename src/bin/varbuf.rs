@@ -90,6 +90,8 @@ usage:
                   [--degrade] [--budget-solutions N] [--budget-time SECS]
                   [--budget-mem MB] [--jobs N] [--jobs-force]
                   [--no-bounds] [--no-lishi] [--no-lazy-wire]
+      --mc SAMPLES: Monte Carlo cross-check of the silicon RAT with
+                2..=1000000 samples
       --jobs N: worker threads for the DP (0 = all cores); results are
                 bit-identical to --jobs 1. Requests beyond the host's
                 available parallelism are clamped unless --jobs-force.
@@ -313,6 +315,12 @@ fn cmd_info(args: &[String]) -> Result<Outcome, String> {
     Ok(Outcome::Clean)
 }
 
+/// The `--mc` sample-count range: two samples are the fewest with a
+/// sample sigma, and a million bounds the cross-check's run time and
+/// sample buffer.
+const MC_MIN: usize = 2;
+const MC_MAX: usize = 1_000_000;
+
 fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
     let path = args.first().ok_or("opt needs a FILE")?;
     let tree = load_tree(path)?;
@@ -328,6 +336,19 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         }
     };
     let rule = parse_rule(args)?;
+    // Validated before the DP, so a bad count fails fast instead of after
+    // the whole optimization.
+    let mc_samples = match flag_value(args, "--mc") {
+        None => None,
+        Some(v) => Some(
+            v.parse::<usize>()
+                .ok()
+                .filter(|n| (MC_MIN..=MC_MAX).contains(n))
+                .ok_or_else(|| {
+                    format!("bad --mc sample count `{v}` (expected {MC_MIN}..={MC_MAX})")
+                })?,
+        ),
+    };
     let mut options = Options::default();
     if let Some(p) = parse_p(args)? {
         options.rule = TwoParam::try_new(p, p).map_err(|e| e.to_string())?;
@@ -456,13 +477,6 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
         }
     };
 
-    let mc_samples = match flag_value(args, "--mc") {
-        None => None,
-        Some(v) => Some(
-            v.parse::<usize>()
-                .map_err(|_| format!("bad --mc sample count `{v}`"))?,
-        ),
-    };
     if let Some(samples) = mc_samples {
         if widths.is_some() {
             return Err("--mc is not supported together with --sizing".to_owned());

@@ -61,6 +61,7 @@ fn help_prints_usage() {
     assert!(ok);
     assert!(stdout.contains("usage:"));
     assert!(stdout.contains("varbuf gen"));
+    assert!(stdout.contains("2..=1000000 samples"), "{stdout}");
 }
 
 #[test]
@@ -224,11 +225,19 @@ fn malformed_specs_and_flags_exit_one_without_panicking() {
         (&["opt", tree, "--mode", "bogus"][..], "unknown --mode"),
         (&["opt", tree, "--spatial", "bogus"], "unknown --spatial"),
         (&["opt", tree, "--mc", "abc"], "bad --mc"),
+        (&["opt", tree, "--mc", "0"], "expected 2..=1000000"),
+        (&["opt", tree, "--mc", "1"], "expected 2..=1000000"),
+        (
+            &["opt", tree, "--mc", "100000000000"],
+            "expected 2..=1000000",
+        ),
         (&["opt", tree, "--p", "abc"], "bad --p"),
         (&["skew", tree, "--spatial", "bogus"], "unknown --spatial"),
     ] {
-        let (code, _, stderr) = run_code(args);
+        let (code, stdout, stderr) = run_code(args);
         assert_eq!(code, 1, "{args:?}: {stderr}");
+        // Rejected before any optimization runs or prints.
+        assert!(stdout.is_empty(), "{args:?}: {stdout}");
         assert!(stderr.contains(needle), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
