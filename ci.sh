@@ -175,11 +175,12 @@ cargo build --release --bin varbuf
 CTS_CMD=(./target/release/varbuf cts --levels 16 --budget-mem 512)
 if command -v python3 >/dev/null 2>&1; then
   # Peak RSS from wait4: the streaming skew pass keeps only the live walk
-  # front and two running folds, and the DP builds each candidate's
-  # device forms at its own buffering step instead of tabling all 131k
-  # candidates' forms up front (444 MB), so the whole 64k process stays
-  # near 50 MB. The table took it to ~540 MB; holding every arrival form
-  # at once as well took it to ~1.4 GB.
+  # front (in recycled slots) and two running folds, and the DP builds
+  # each candidate's device forms at its own buffering step instead of
+  # tabling all 131k candidates' forms up front (444 MB), so the whole
+  # 64k process stays under 40 MB even with a second shard worker. The
+  # table took it to ~540 MB; holding every arrival form at once as well
+  # took it to ~1.4 GB.
   CTS_OUT=$(python3 - "${CTS_CMD[@]}" <<'EOF'
 import os, subprocess, sys
 p = subprocess.Popen(sys.argv[1:], stdout=subprocess.PIPE)
@@ -190,8 +191,8 @@ if status != 0:
     sys.exit(f'cts gate: varbuf cts exited with wait status {status}')
 mb = ru.ru_maxrss / 1024
 print(f'peak RSS {mb:.0f} MB')
-if mb > 128:
-    sys.exit(f'cts gate: peak RSS {mb:.0f} MB exceeds 128 MB')
+if mb > 64:
+    sys.exit(f'cts gate: peak RSS {mb:.0f} MB exceeds 64 MB')
 EOF
 )
 else
@@ -203,6 +204,10 @@ echo "$CTS_OUT" | grep -q 'peak chunk bytes'      || { echo "cts gate: frontier 
 # The skew pass is bit-identical to the serial Clark fold, so the CLI's
 # rounded skew is pinned exactly.
 echo "$CTS_OUT" | grep -qxF 'global skew 122.40 ± 9.48 ps' || { echo "cts gate: global skew moved from 122.40 ± 9.48 ps" >&2; exit 1; }
+# Shard workers are adopted by the serial walk, so the output must not
+# depend on the worker count.
+CTS14=(./target/release/varbuf cts --levels 14 --budget-mem 512)
+diff <("${CTS14[@]}" --jobs 1) <("${CTS14[@]}") || { echo "cts gate: --jobs 1 and default-jobs output differ" >&2; exit 1; }
 
 echo "==> profile smoke (profile_stat --json: phase attribution well-formed)"
 cargo build --release -p varbuf-bench --examples

@@ -28,6 +28,7 @@ use crate::governor::{
     keep_best, solution_footprint, truncate_spread, Admission, Budget, CancelToken, Clock,
     Degradation, Governor, GuardedFallback,
 };
+use crate::hier::Splicer;
 use crate::metrics::DpStats;
 use crate::ops::{
     buffer_extend_stat_into, driver_rat_stat, materialize_wire_stat, merge_pair_stat_into,
@@ -35,7 +36,7 @@ use crate::ops::{
     wire_extend_stat_into,
 };
 use crate::prune::{prune_solutions_keyed, MergeStrategy, PruneScratch, PruningRule, TwoParam};
-use crate::solution::StatSolution;
+use crate::solution::{ChunkedList, StatSolution};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use varbuf_rctree::tree::NodeKind;
@@ -90,12 +91,11 @@ pub struct DpOptions {
     pub sparsify_epsilon: f64,
     /// Winner criterion at the root.
     pub root_selection: RootSelection,
-    /// Worker threads for intra-tree parallelism (`1` = sequential).
-    /// Independent sibling subtrees are solved concurrently and joined
-    /// at branch nodes in fixed child order; results are bit-identical
-    /// to the sequential engine (see `pool` module docs for the
-    /// determinism contract and when the engine falls back to one
-    /// thread).
+    /// Worker threads for one run (`1` = sequential). Independent
+    /// subtrees (hier cut regions, or disjoint subtrees of a flat run) are
+    /// solved concurrently and adopted by the serial walk; results are
+    /// bit-identical to the sequential engine (see `pool` module docs
+    /// for the determinism contract and when a run stays serial).
     pub jobs: usize,
     /// Bound-guided predictive pruning: run the deterministic engine at
     /// the process mean and a conservative corner before the statistical
@@ -742,13 +742,13 @@ impl Clone for RuleHandle<'_> {
 }
 
 /// Control-flow signal inside the engine: a typed error to surface to
-/// the caller, or *pressure* — the speculative parallel phase detected
-/// that the governor would have to degrade, so the whole run must be
-/// redone sequentially under the real governor (see [`crate::pool`]).
+/// the caller, or *pressure* — a shard worker met an event the governor
+/// would have to account for, so the serial walk must recompute that
+/// shard under the real governor (see [`crate::pool`]).
 pub(crate) enum EngineInterrupt {
     /// A hard failure the caller sees as-is.
     Error(InsertionError),
-    /// Raised only by the parallel probe; never escapes `run_engine`.
+    /// Raised only by the shard probe; never escapes a shard worker.
     Pressure,
 }
 
@@ -763,15 +763,15 @@ impl EngineInterrupt {
         match self {
             EngineInterrupt::Error(e) => e,
             EngineInterrupt::Pressure => {
-                unreachable!("pressure is raised only by the parallel probe")
+                unreachable!("pressure is raised only by the shard probe")
             }
         }
     }
 }
 
-/// The DP's resource-policy interface. The sequential engine wires it
-/// straight to the [`Governor`]; the parallel engine substitutes a
-/// frozen probe that never mutates the caller's governor and raises
+/// The DP's resource-policy interface. The serial walk wires it
+/// straight to the [`Governor`]; shard workers substitute a frozen
+/// probe that never mutates the caller's governor and raises
 /// [`EngineInterrupt::Pressure`] the moment a degradation *would*
 /// happen ([`crate::pool`]).
 ///
@@ -802,7 +802,7 @@ pub(crate) trait Supervisor<'r> {
     fn note_memory(&mut self, stored: &[StatSolution], freed: usize);
 }
 
-/// The sequential supervisor: a thin veneer over the caller's governor,
+/// The serial walk's supervisor: a thin veneer over the caller's governor,
 /// preserving the exact call sequence the degradation tests pin down.
 pub(crate) struct GovSupervisor<'r, 'g> {
     pub(crate) static_rule: Option<&'r dyn PruningRule>,
@@ -852,8 +852,8 @@ impl<'r> Supervisor<'r> for GovSupervisor<'r, '_> {
 
 /// Immutable per-run context: the run's inputs plus the node-indexed
 /// wire table the DP would otherwise recompute at each visit. Built once
-/// in `run_engine` *before* the speculative parallel phase, then shared
-/// read-only by the sequential loop and every pool worker.
+/// per run before any shard fans out, then shared read-only by the
+/// serial walk and every shard worker.
 ///
 /// **Wire segments** — the width-scaled RC segment of every
 /// `(edge, width index)` pair — depend on nothing else, so the lift step
@@ -892,7 +892,7 @@ pub(crate) struct RunCtx<'a> {
     /// A node's value is a pure function of its subtree, and children
     /// complete before their parent in both engines, so the disarm
     /// decision is identical sequentially and in parallel — and the
-    /// stores are idempotent, so a pressure-abort rerun is safe.
+    /// stores are idempotent, so recomputing a failed shard is safe.
     bound_probe: Vec<std::sync::atomic::AtomicU64>,
 }
 
@@ -1054,9 +1054,8 @@ impl SolPool {
 
 /// The shared DP engine behind both the strict and the governed entry
 /// points. Every resource decision is delegated to `governor`; when
-/// [`DpOptions::jobs`] > 1 and the run is eligible, a speculative
-/// parallel phase runs first (see [`crate::pool`]) and the sequential
-/// loop below is the authoritative fallback.
+/// [`DpOptions::jobs`] > 1 the walk fans disjoint subtrees out to workers
+/// (see [`crate::pool`]).
 #[allow(clippy::too_many_arguments)]
 fn run_engine(
     tree: &RoutingTree,
@@ -1066,16 +1065,15 @@ fn run_engine(
     sizing: &WireSizing,
     options: &DpOptions,
     governor: &mut Governor,
-    mut faults: Option<&mut FaultInjector>,
+    faults: Option<&mut FaultInjector>,
 ) -> Result<StatResult, InsertionError> {
     tree.validate()?;
     if tree.sink_count() == 0 {
         return Err(InsertionError::NoSinks);
     }
 
-    // The wire-segment table is built once here, before the speculative
-    // phase, so the parallel workers and the sequential fallback read the
-    // exact same cached values.
+    // The wire-segment table is built once here, so shard workers and
+    // the serial walk read the exact same cached values.
     let mut ctx = RunCtx::new(tree, model, mode, sizing);
 
     // Bound-guided pruning arms only when the run cannot degrade:
@@ -1104,67 +1102,139 @@ fn run_engine(
     // their legacy eager shape.
     ctx.lazy = options.use_lazy_wire && !degradable && faults.is_none();
 
-    // Speculative parallel phase: `None` means ineligible or aborted on
-    // pressure — fall through to the sequential engine with the
-    // governor untouched, so results stay bit-identical.
-    if faults.is_none() {
-        if let Some(outcome) = crate::pool::try_parallel_tree(&ctx, static_rule, options, governor)
-        {
-            return match outcome {
-                Ok((mut root_list, mut stats)) => {
-                    stats.runtime = governor.elapsed();
-                    stats.bound_time += bound_setup;
-                    stats.jobs_requested = options.jobs.max(1);
-                    stats.jobs_effective = options.effective_jobs();
-                    Ok(select_winner(tree, options, &mut root_list, stats))
-                }
-                Err(e) => Err(e),
-            };
-        }
-    }
-
-    let mut stats = DpStats::default();
-    let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-    let mut pool = SolPool::default();
-    let mut sup = GovSupervisor {
-        static_rule,
-        governor,
+    // Flat runs cut only to find shards for the workers: no splice.
+    let jobs = options.effective_jobs();
+    let cuts = if jobs > 1 {
+        crate::pool::flat_shard_cuts(tree, jobs)
+    } else {
+        Vec::new()
     };
-
-    for id in tree.postorder() {
-        let children: Vec<Vec<StatSolution>> = tree
-            .node(id)
-            .children
-            .iter()
-            .map(|c| std::mem::take(&mut lists[c.index()]))
-            .collect();
-        let sols = process_node(
-            &ctx,
-            &mut sup,
-            id,
-            children,
-            faults.as_deref_mut(),
-            &mut pool,
-            &mut stats,
-        )
-        .map_err(EngineInterrupt::into_error)?;
-        lists[id.index()] = sols;
-    }
+    let mut stats = DpStats::default();
+    let (mut root_list, workers) = run_walk(
+        &ctx,
+        governor,
+        static_rule,
+        &cuts,
+        None,
+        jobs,
+        faults,
+        &mut stats,
+    )?;
 
     stats.runtime = governor.elapsed();
     stats.bound_time += bound_setup;
     stats.jobs_requested = options.jobs.max(1);
-    stats.jobs_effective = 1;
-    Ok(select_winner(
-        tree,
-        options,
-        &mut lists[tree.root().index()],
-        stats,
-    ))
+    stats.jobs_effective = workers;
+    Ok(select_winner(tree, options, &mut root_list, stats))
 }
 
-/// One node of the DP, shared verbatim by the sequential and parallel
-/// engines: builds the node's base list from its children (taken as
+/// A finished node's list waiting for its parent: live, or parked in
+/// ledger-charged chunks at a hier cut.
+pub(crate) enum Finished {
+    Live(Vec<StatSolution>),
+    Parked(ChunkedList),
+}
+
+impl Finished {
+    pub(crate) fn into_vec(self) -> Vec<StatSolution> {
+        match self {
+            Finished::Live(v) => v,
+            Finished::Parked(frontier) => frontier.into_vec(),
+        }
+    }
+}
+
+/// Pops a node's `k` children off the walk's stack, in child order.
+/// [`RoutingTree::postorder`] finishes the last child first, so the
+/// children sit on top in reverse.
+pub(crate) fn take_children(stack: &mut Vec<Finished>, k: usize) -> Vec<Vec<StatSolution>> {
+    let at = stack.len() - k;
+    stack.drain(at..).rev().map(Finished::into_vec).collect()
+}
+
+/// The one postorder walk behind every cold engine run: fans the
+/// shards between `cuts` out to up to `jobs` workers, then walks the
+/// postorder on the calling thread under `governor`, adopting solved
+/// shards and processing every other node (see the [`crate::pool`]
+/// docs). With a `splice`, each cut node's list is spliced and parked
+/// instead of kept live. Returns the root's list and the number of
+/// shard workers whose results were committed (1 when the walk went
+/// serial).
+///
+/// # Errors
+///
+/// The serial run's first error.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn run_walk(
+    ctx: &RunCtx<'_>,
+    governor: &mut Governor,
+    static_rule: Option<&dyn PruningRule>,
+    cuts: &[bool],
+    mut splice: Option<&mut Splicer>,
+    jobs: usize,
+    mut faults: Option<&mut FaultInjector>,
+    stats: &mut DpStats,
+) -> Result<(Vec<StatSolution>, usize), InsertionError> {
+    let order = ctx.tree.postorder();
+    let (shards, mut workers) = crate::pool::solve_shards(
+        ctx,
+        governor,
+        static_rule,
+        &order,
+        cuts,
+        jobs,
+        faults.is_some(),
+        splice.is_some(),
+    );
+    let mut shards = shards.into_iter().peekable();
+    let mut sup = GovSupervisor {
+        static_rule,
+        governor,
+    };
+    let mut pool = SolPool::default();
+    let mut stack: Vec<Finished> = Vec::new();
+    let mut i = 0;
+    while i < order.len() {
+        let (id, sols) = match shards.next_if(|(span, _)| span.start == i) {
+            Some((span, Some(shard))) if shard.adoptable(sup.governor) => {
+                sup.governor.charge_live(shard.end_bytes);
+                stats.absorb(&shard.stats);
+                i = span.end;
+                (order[span.end - 1], shard.list)
+            }
+            unadopted => {
+                if unadopted.is_some() {
+                    workers = 1;
+                }
+                let id = order[i];
+                let children = take_children(&mut stack, ctx.tree.node(id).children.len());
+                let sols = process_node(
+                    ctx,
+                    &mut sup,
+                    id,
+                    children,
+                    faults.as_deref_mut(),
+                    &mut pool,
+                    stats,
+                )
+                .map_err(EngineInterrupt::into_error)?;
+                i += 1;
+                (id, sols)
+            }
+        };
+        stack.push(match splice.as_deref_mut() {
+            Some(splice) if cuts[id.index()] => {
+                Finished::Parked(splice.park(&mut sup, sols, &mut pool, stats))
+            }
+            _ => Finished::Live(sols),
+        });
+    }
+    let root = stack.pop().expect("the root finishes last").into_vec();
+    Ok((root, workers))
+}
+
+/// One node of the DP, shared verbatim by the serial walk and the shard
+/// workers: builds the node's base list from its children (taken as
 /// owned lists in fixed child order), offers buffers, and applies the
 /// supervisor's admission/integrity policy. Returns the node's
 /// surviving candidate list.

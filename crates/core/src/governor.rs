@@ -523,6 +523,18 @@ pub fn solution_footprint(s: &StatSolution) -> usize {
     128 + 16 * (s.load.term_count() + s.rat.term_count() + pending_rat)
 }
 
+/// Whether a candidate's statistics are finite and its variances
+/// non-negative — what [`Governor::sanitize`] keeps.
+pub(crate) fn is_sound(s: &StatSolution) -> bool {
+    s.load.mean().is_finite()
+        && s.rat.mean().is_finite()
+        && s.load.variance().is_finite()
+        && s.rat.variance().is_finite()
+        && s.load.variance() >= 0.0
+        && s.rat.variance() >= 0.0
+        && s.wire_pending.is_finite()
+}
+
 /// The resource-governing policy object threaded through the DP.
 ///
 /// Construct with [`Governor::strict`] for the legacy abort-on-breach
@@ -543,7 +555,7 @@ pub struct Governor {
     max_epsilon: f64,
     panic_mode: bool,
     /// Whether `clock` is the real monotonic clock (false after
-    /// [`Governor::with_clock`]) — the parallel engine refuses to run on
+    /// [`Governor::with_clock`]) — shard workers refuse to run on
     /// scripted clocks, whose reads are order-dependent.
     real_clock: bool,
     /// Soft-time pressure is acted on once per escalation, not per node.
@@ -675,7 +687,7 @@ impl Governor {
     }
 
     /// Whether no degradation of any kind has happened yet — the state
-    /// the parallel engine snapshots before forking workers.
+    /// a shard worker's result may be adopted in.
     pub(crate) fn pristine(&self) -> bool {
         self.events.is_empty() && !self.panic_mode && self.active == 0 && self.poisoned_total == 0
     }
@@ -909,15 +921,7 @@ impl Governor {
         sols: &mut Vec<StatSolution>,
     ) -> Result<(), InsertionError> {
         let before = sols.len();
-        sols.retain(|s| {
-            s.load.mean().is_finite()
-                && s.rat.mean().is_finite()
-                && s.load.variance().is_finite()
-                && s.rat.variance().is_finite()
-                && s.load.variance() >= 0.0
-                && s.rat.variance() >= 0.0
-                && s.wire_pending.is_finite()
-        });
+        sols.retain(is_sound);
         let dropped = before - sols.len();
         if dropped > 0 {
             self.poisoned_total += dropped;
@@ -940,6 +944,12 @@ impl Governor {
         let added: usize = stored.iter().map(solution_footprint).sum();
         self.live_bytes = self.live_bytes.saturating_add(added);
         self.live_bytes = self.live_bytes.saturating_sub(freed_estimate);
+    }
+
+    /// Adds `bytes` to the live estimate: the net bytes of a subtree a
+    /// shard worker solved, charged where the serial walk reaches it.
+    pub(crate) fn charge_live(&mut self, bytes: usize) {
+        self.live_bytes = self.live_bytes.saturating_add(bytes);
     }
 
     /// Estimated live bytes currently tracked.

@@ -6,8 +6,10 @@
 //!
 //! * [`plan_cuts`] partitions the routing tree at *cut nodes* chosen by
 //!   accumulated subtree size and fanout, so the tree becomes a forest
-//!   of bounded regions solved bottom-up by the existing
-//!   [`process_node`] engine;
+//!   of bounded regions solved bottom-up by the existing per-node DP;
+//!   regions with no cut below them are independent, so with
+//!   [`DpOptions::jobs`] > 1 they are solved on shard workers
+//!   ([`crate::pool`]) and adopted by the serial walk, bit-identically;
 //! * at each cut node the surviving Pareto frontier is **spliced**: an
 //!   epsilon-bounded thinning keeps a representative subset (the best-
 //!   RAT survivor always included) capped at
@@ -30,7 +32,7 @@
 //! deterministic anchor presumes the flat fixpoint.
 
 use crate::dp::{
-    guard_cascade, materialize_list, optimize_governed_detailed, process_node, select_winner,
+    guard_cascade, materialize_list, optimize_governed_detailed, run_walk, select_winner,
     DpOptions, GovSupervisor, GovernedResult, RunControls, RunCtx, SolPool, StatResult, Supervisor,
     WireSizing,
 };
@@ -221,11 +223,63 @@ fn splice_compact(
     before - sols.len()
 }
 
+/// The hier walk's step at a cut node: materialize, splice and park
+/// the region's frontier, on the calling thread in serial order.
+pub(crate) struct Splicer {
+    /// Bytes parked right now, charged per solution.
+    ledger: Arc<ChunkLedger>,
+    epsilon: f64,
+    /// The frontier cap in force; halves under memory pressure.
+    live_cap: usize,
+    /// Solutions the splices dropped so far.
+    dropped: usize,
+}
+
+impl Splicer {
+    /// Splices `sols`, the finished list of a cut node, and parks the
+    /// survivors.
+    pub(crate) fn park(
+        &mut self,
+        sup: &mut GovSupervisor<'_, '_>,
+        mut sols: Vec<StatSolution>,
+        pool: &mut SolPool,
+        stats: &mut DpStats,
+    ) -> ChunkedList {
+        // A parked frontier outlives its region's DP, so any deferred
+        // wire coupling must land *before* the splice: the epsilon
+        // thinning and the bytes charged to the chunk ledger must both
+        // see settled solutions, not pending ones whose RAT terms (and
+        // footprint) are still about to grow.
+        materialize_list(&mut sols, sup.epsilon(), stats);
+        // Splice: thin the region's frontier, free the dropped footprint
+        // from the governor's live estimate, park the survivors in
+        // budget-charged chunks.
+        let footprint_before: usize = sols.iter().map(solution_footprint).sum();
+        let rh = sup.rule();
+        self.dropped += splice_compact(rh.get(), &mut sols, self.epsilon, self.live_cap);
+        let footprint_after: usize = sols.iter().map(solution_footprint).sum();
+        sup.note_memory(&[], footprint_before - footprint_after);
+        let mut frontier = ChunkedList::with_ledger(Arc::clone(&self.ledger));
+        for s in sols.drain(..) {
+            let bytes = solution_footprint(&s);
+            frontier.push(s, bytes);
+        }
+        pool.put(sols);
+        sup.governor.note_chunk_bytes(self.ledger.live());
+        if self.ledger.live() > sup.governor.budget().soft_mem_bytes {
+            self.live_cap = (self.live_cap / 2).max(4);
+        }
+        frontier
+    }
+}
+
 /// Hierarchical governed optimization. With decomposition disabled (or
 /// a tree the planner leaves uncut) this *is*
 /// [`optimize_governed_detailed`] — same bytes out; with cuts, each
 /// region is solved by the flat per-node engine and exports an
 /// epsilon-spliced, capped frontier parked in budget-charged chunks.
+/// Independent regions go to up to [`DpOptions::effective_jobs`]
+/// workers; the output does not depend on the worker count.
 ///
 /// # Errors
 ///
@@ -234,7 +288,7 @@ fn splice_compact(
 /// # Panics
 ///
 /// Panics if `cascade` is empty.
-#[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+#[allow(clippy::too_many_arguments)]
 pub fn optimize_hier(
     tree: &RoutingTree,
     model: &ProcessModel,
@@ -292,93 +346,31 @@ pub fn optimize_hier(
     // this path never injects faults.
     ctx.lazy = options.use_lazy_wire && !budget.constrains_run();
 
-    let ledger = Arc::new(ChunkLedger::new());
-    let mut parked: Vec<Option<ChunkedList>> = Vec::new();
-    parked.resize_with(tree.len(), || None);
-    let mut lists: Vec<Vec<StatSolution>> = vec![Vec::new(); tree.len()];
-    let mut pool = SolPool::default();
-    let mut stats = DpStats::default();
-    let mut spliced_dropped = 0usize;
-    let mut live_cap = hier.frontier_cap.max(1);
-
-    let walk = |sup: &mut GovSupervisor<'_, '_>,
-                lists: &mut Vec<Vec<StatSolution>>,
-                parked: &mut Vec<Option<ChunkedList>>,
-                pool: &mut SolPool,
-                stats: &mut DpStats,
-                spliced_dropped: &mut usize,
-                live_cap: &mut usize|
-     -> Result<(), crate::dp::EngineInterrupt> {
-        for id in tree.postorder() {
-            let children: Vec<Vec<StatSolution>> = tree
-                .node(id)
-                .children
-                .iter()
-                .map(|&c| match parked[c.index()].take() {
-                    Some(frontier) => frontier.into_vec(),
-                    None => std::mem::take(&mut lists[c.index()]),
-                })
-                .collect();
-            let mut sols = process_node(&ctx, sup, id, children, None, pool, stats)?;
-            if cuts[id.index()] {
-                // A parked frontier outlives its region's DP, so any
-                // deferred wire coupling must land *before* the splice:
-                // the epsilon thinning and the bytes charged to the
-                // chunk ledger must both see settled solutions, not
-                // pending ones whose RAT terms (and footprint) are
-                // still about to grow.
-                materialize_list(&mut sols, sup.epsilon(), stats);
-                // Splice: thin the region's frontier, free the dropped
-                // footprint from the governor's live estimate, park the
-                // survivors in budget-charged chunks.
-                let footprint_before: usize = sols.iter().map(solution_footprint).sum();
-                let rh = sup.rule();
-                *spliced_dropped +=
-                    splice_compact(rh.get(), &mut sols, hier.splice_epsilon, *live_cap);
-                let footprint_after: usize = sols.iter().map(solution_footprint).sum();
-                sup.note_memory(&[], footprint_before - footprint_after);
-                let mut frontier = ChunkedList::with_ledger(Arc::clone(&ledger));
-                for s in sols.drain(..) {
-                    let bytes = solution_footprint(&s);
-                    frontier.push(s, bytes);
-                }
-                pool.put(sols);
-                sup.governor.note_chunk_bytes(ledger.live());
-                if ledger.live() > sup.governor.budget().soft_mem_bytes {
-                    *live_cap = (*live_cap / 2).max(4);
-                }
-                parked[id.index()] = Some(frontier);
-            } else {
-                lists[id.index()] = sols;
-            }
-        }
-        Ok(())
+    let mut splice = Splicer {
+        ledger: Arc::new(ChunkLedger::new()),
+        epsilon: hier.splice_epsilon,
+        live_cap: hier.frontier_cap.max(1),
+        dropped: 0,
     };
-
-    {
-        let mut sup = GovSupervisor {
-            static_rule: None,
-            governor: &mut governor,
-        };
-        walk(
-            &mut sup,
-            &mut lists,
-            &mut parked,
-            &mut pool,
-            &mut stats,
-            &mut spliced_dropped,
-            &mut live_cap,
-        )
-        .map_err(crate::dp::EngineInterrupt::into_error)?;
-    }
+    let mut stats = DpStats::default();
+    let (mut root_list, workers) = run_walk(
+        &ctx,
+        &mut governor,
+        None,
+        &cuts,
+        Some(&mut splice),
+        options.effective_jobs(),
+        None,
+        &mut stats,
+    )?;
 
     stats.runtime = governor.elapsed();
     stats.jobs_requested = options.jobs.max(1);
-    stats.jobs_effective = 1;
-    let mut result = select_winner(tree, options, &mut lists[tree.root().index()], stats);
+    stats.jobs_effective = workers;
+    let mut result = select_winner(tree, options, &mut root_list, stats);
     let mut degradation = governor.into_report();
     degradation.guard = guard;
-    degradation.peak_chunk_bytes = degradation.peak_chunk_bytes.max(ledger.peak());
+    degradation.peak_chunk_bytes = degradation.peak_chunk_bytes.max(splice.ledger.peak());
     result.stats.rule_fallbacks = degradation.rule_fallbacks();
     result.stats.epsilon_tightenings = degradation.epsilon_tightenings();
     result.stats.list_truncations = degradation.truncations();
@@ -389,9 +381,9 @@ pub fn optimize_hier(
         degradation,
         hier: HierReport {
             cut_count,
-            spliced_dropped,
-            peak_chunk_bytes: ledger.peak(),
-            final_frontier_cap: live_cap,
+            spliced_dropped: splice.dropped,
+            peak_chunk_bytes: splice.ledger.peak(),
+            final_frontier_cap: splice.live_cap,
         },
     })
 }

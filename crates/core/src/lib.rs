@@ -26,7 +26,8 @@
 //!   for exercising the degradation paths in tests;
 //! * [`pool`] — the std-only parallel execution layer: the
 //!   [`pool::optimize_batch`] worker pool over independent nets and the
-//!   speculative intra-tree scheduler behind [`dp::DpOptions::jobs`],
+//!   shard executor behind [`dp::DpOptions::jobs`] (independent cut
+//!   regions solved by workers, adopted by one serial postorder walk),
 //!   both bit-identical to the sequential engine;
 //! * [`cache`] — epoch-scoped per-node solution caching (Merkle content
 //!   signatures + a per-session solution arena) behind the service's

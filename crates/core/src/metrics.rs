@@ -54,8 +54,10 @@ pub struct DpStats {
     /// [`sans_times`](Self::sans_times) because it is configuration, not
     /// computation.
     pub jobs_requested: usize,
-    /// The worker count actually used after clamping to the host's
-    /// available parallelism (unless forced). Cleared by
+    /// The shard workers whose results the run committed: the request
+    /// clamped to the host's available parallelism (unless forced) and
+    /// to the shard count, or 1 when the run stayed or went serial.
+    /// Cleared by
     /// [`sans_times`](Self::sans_times) — it is host-dependent while the
     /// computed result is not.
     pub jobs_effective: usize,

@@ -1,64 +1,72 @@
 //! Parallel execution layer: the batch API ([`optimize_batch`]) and the
-//! intra-tree scheduler behind [`DpOptions::jobs`]. Hermetic std-only
+//! shard executor behind [`DpOptions::jobs`]. Hermetic std-only
 //! threading (`std::thread::scope`) — no external runtime.
 //!
 //! # Threading model
 //!
-//! Two independent tiers:
+//! Two independent tiers, both on the one order-preserving pool
+//! (`run_indexed`):
 //!
 //! * **Batch** ([`optimize_batch`]): independent requests (net + rule +
 //!   budget) are pulled off a shared atomic cursor by a fixed worker
 //!   pool. Result `i` always corresponds to request `i`, and each
-//!   request runs with one intra-tree worker, so a batch at any `jobs`
-//!   is bit-identical to the same requests run in a serial loop.
-//! * **Intra-tree** ([`DpOptions::jobs`] > 1): independent sibling
-//!   subtrees of the RC tree are solved concurrently. Dependencies are
-//!   tracked with per-node pending-children counters; a node becomes
-//!   ready when its last child finishes, and the worker that finished
-//!   that child continues with the parent (chain locality). Children
-//!   are always joined in fixed child order, so merge results are
-//!   bit-identical to the sequential engine.
+//!   request runs with one DP worker, so a batch at any `jobs` is
+//!   bit-identical to the same requests run in a serial loop.
+//! * **Shards** ([`DpOptions::jobs`] > 1): one engine run fans its
+//!   independent *shards* out to workers. A shard is the subtree of a
+//!   cut node with no other cut below it: the hierarchical engine's own
+//!   cuts ([`crate::hier::plan_cuts`]), or, for a flat run, two disjoint
+//!   subtrees per worker (`flat_shard_cuts`). Each worker runs the
+//!   unchanged per-node DP over one shard's postorder and, on a hier
+//!   run, materializes the shard root's list. The calling thread then
+//!   walks the whole postorder serially (`dp::run_walk`): it adopts each
+//!   solved shard where the walk reaches it and processes every other
+//!   node itself, so the hier splice, the frontier-cap halving and the
+//!   chunk ledger see exactly the serial sequence of events.
 //!
 //! # Determinism contract and governor reconciliation
 //!
-//! The intra-tree phase is *speculative*: workers run against a frozen
-//! snapshot of the governor (rule, epsilon, budget, clock origin) and
-//! never mutate it. Any event that would require governor accounting —
-//! a candidate list over the soft solution cap, wall clock past the
-//! soft time limit, a poisoned candidate the sanitizer would drop —
-//! raises *pressure*: the phase is abandoned wholesale and the run
-//! redone sequentially under the real, untouched governor. Degraded
-//! runs therefore reconcile to the sequential engine by construction:
-//! the parallel engine only ever commits results for runs the governor
-//! would have left pristine, and those are bit-identical by the fixed
-//! join order. Strict-mode capacity breaches are node-local and
-//! deterministic; the breach at the smallest postorder position is
-//! reported, which is exactly the error the sequential engine hits
-//! first. Wall-clock–triggered outcomes (strict time errors, governed
-//! time degradations) remain timing-dependent, as they already are
-//! between two sequential runs on different machines.
+//! Workers run under a probe supervisor: a frozen snapshot of the
+//! governor (rule, epsilon, budget, clock origin) that never mutates
+//! it. An event the real governor would have to account for — a list
+//! over the solution cap, a poisoned candidate the sanitizer would
+//! drop, a strict time or capacity breach, a live estimate of its own
+//! past the soft memory limit — fails the shard instead. Each shard
+//! also reports its live-byte profile: the peak of its own
+//! lists' estimated bytes at any admission, and the bytes still live
+//! at its end. Where the walk reaches a shard, it adopts the worker's
+//! list only if the governor is still pristine and its live estimate
+//! plus the shard's peak stays within the soft memory limit — exactly
+//! the condition under which the serial run would have recorded no
+//! event inside that subtree — and then charges the shard's end bytes.
+//! From the first shard that fails either test, the walk is serial:
+//! that shard and every later one are recomputed on the calling thread
+//! under the real governor, which then records whatever the serial run
+//! records (or returns the serial run's first error). Results,
+//! counters, degradation events and hier reports are therefore
+//! bit-identical to `jobs = 1` by construction.
 //!
-//! Runs that are ineligible for the speculative phase fall back to one
-//! thread silently: fault injection active, a scripted [`Clock`]
-//! (reads are order-dependent), or a governed budget with finite
-//! memory limits (live-byte accounting is order-dependent).
+//! Runs whose governance depends on the clock or on the order of reads
+//! stay serial from the start: fault injection, a scripted [`Clock`],
+//! a cancellation token or watchdog, or a governed time budget.
 //!
 //! [`Clock`]: crate::governor::Clock
 
 use crate::dp::{
-    fallback_cascade, optimize_governed_detailed, optimize_with_sizing, process_node, DpOptions,
-    EngineInterrupt, GovernedResult, RuleHandle, RunControls, RunCtx, SolPool, Supervisor,
-    WireSizing,
+    fallback_cascade, materialize_list, optimize_governed_detailed, optimize_with_sizing,
+    process_node, take_children, DpOptions, EngineInterrupt, Finished, GovernedResult, RuleHandle,
+    RunControls, RunCtx, SolPool, Supervisor, WireSizing,
 };
 use crate::error::InsertionError;
-use crate::governor::{Admission, Budget, Degradation, Governor};
+use crate::governor::{is_sound, solution_footprint, Admission, Budget, Degradation, Governor};
 use crate::hier::HierOptions;
 use crate::metrics::DpStats;
 use crate::prune::PruningRule;
 use crate::solution::StatSolution;
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use varbuf_rctree::{NodeId, RoutingTree};
 use varbuf_variation::{ProcessModel, VariationMode};
@@ -265,42 +273,40 @@ fn optimize_batch_with(
     run_indexed(requests.len(), jobs, |i| requests[i].run(Some(1)))
 }
 
-/// Frozen governor snapshot shared by the speculative phase's workers.
+/// The probe snapshot shared by one run's shard workers.
 struct ProbeShared {
-    /// Governor-relative elapsed time at phase start…
+    /// Governor-relative elapsed time at fan-out…
     base_elapsed: Duration,
-    /// …plus this phase-local stopwatch (the governor's clock keeps
-    /// counting through the phase either way).
+    /// …plus this stopwatch.
     start: Instant,
     governed: bool,
-    soft_time: Duration,
-    hard_time: Duration,
-    soft_solutions: usize,
-    hard_solutions: usize,
-    pressure: AtomicBool,
+    /// The strict run's abort limit (governed runs with a finite time
+    /// budget never fan out, so theirs is unlimited).
+    time_limit: Duration,
+    /// The candidate count past which the governor would act: the soft
+    /// cap when governed, the strict abort cap otherwise.
+    max_solutions: usize,
+    /// The soft memory limit: a shard whose own live estimate passes
+    /// it can never be adopted ([`Shard::adoptable`]).
+    mem_limit: usize,
+    /// Lowest failed shard index (`usize::MAX` = none): the walk goes
+    /// serial there, so later shards stop. A hint that publishes no
+    /// data, so `Relaxed`: a stale read wastes work, never a result.
+    first_failed: AtomicUsize,
 }
 
-impl ProbeShared {
-    fn elapsed(&self) -> Duration {
-        self.base_elapsed + self.start.elapsed()
-    }
-
-    fn pressured(&self) -> bool {
-        self.pressure.load(Ordering::Relaxed)
-    }
-
-    fn raise_pressure(&self) {
-        self.pressure.store(true, Ordering::Relaxed);
-    }
-}
-
-/// Per-worker supervisor for the speculative phase: read-only against
-/// the frozen snapshot, raising [`EngineInterrupt::Pressure`] at the
-/// first event the real governor would have had to account for.
+/// One shard worker's supervisor: fails the shard
+/// ([`EngineInterrupt::Pressure`]) at the first event the real governor
+/// would have to account for, and tracks the shard's own live-byte
+/// estimate as [`Governor::note_memory`] would.
 struct ProbeSupervisor<'r, 's> {
     shared: &'s ProbeShared,
+    shard: usize,
     rule: RuleHandle<'r>,
     epsilon: f64,
+    live: usize,
+    /// Highest `live` seen by any admission.
+    peak: usize,
 }
 
 impl<'r> Supervisor<'r> for ProbeSupervisor<'r, '_> {
@@ -321,36 +327,18 @@ impl<'r> Supervisor<'r> for ProbeSupervisor<'r, '_> {
     }
 
     fn check_time(&mut self) -> Result<(), EngineInterrupt> {
-        if self.shared.pressured() {
+        let superseded = self.shared.first_failed.load(Ordering::Relaxed) < self.shard;
+        let elapsed = self.shared.base_elapsed + self.shared.start.elapsed();
+        if superseded || elapsed > self.shared.time_limit {
             return Err(EngineInterrupt::Pressure);
-        }
-        let elapsed = self.shared.elapsed();
-        if self.shared.governed {
-            if elapsed > self.shared.soft_time {
-                self.shared.raise_pressure();
-                return Err(EngineInterrupt::Pressure);
-            }
-        } else if elapsed > self.shared.hard_time {
-            return Err(EngineInterrupt::Error(InsertionError::TimeLimitExceeded {
-                elapsed,
-                limit: self.shared.hard_time,
-            }));
         }
         Ok(())
     }
 
-    fn admit(&mut self, node: NodeId, solutions: usize) -> Result<Admission, EngineInterrupt> {
-        if self.shared.governed {
-            if solutions > self.shared.soft_solutions {
-                self.shared.raise_pressure();
-                return Err(EngineInterrupt::Pressure);
-            }
-        } else if solutions > self.shared.hard_solutions {
-            return Err(EngineInterrupt::Error(InsertionError::CapacityExceeded {
-                node,
-                solutions,
-                limit: self.shared.hard_solutions,
-            }));
+    fn admit(&mut self, _node: NodeId, solutions: usize) -> Result<Admission, EngineInterrupt> {
+        self.peak = self.peak.max(self.live);
+        if solutions > self.shared.max_solutions || self.live > self.shared.mem_limit {
+            return Err(EngineInterrupt::Pressure);
         }
         Ok(Admission::Ok)
     }
@@ -360,275 +348,177 @@ impl<'r> Supervisor<'r> for ProbeSupervisor<'r, '_> {
         _node: NodeId,
         sols: &mut Vec<StatSolution>,
     ) -> Result<(), EngineInterrupt> {
-        // Mirror of Governor::sanitize's predicate — but any candidate
-        // it would drop is pressure, because the drop must be recorded
-        // by the real governor.
-        let clean = sols.iter().all(|s| {
-            s.load.mean().is_finite()
-                && s.rat.mean().is_finite()
-                && s.load.variance().is_finite()
-                && s.rat.variance().is_finite()
-                && s.load.variance() >= 0.0
-                && s.rat.variance() >= 0.0
-                && s.wire_pending.is_finite()
-        });
-        if clean {
-            Ok(())
-        } else {
-            self.shared.raise_pressure();
-            Err(EngineInterrupt::Pressure)
-        }
+        // A drop Governor::sanitize would make must be recorded by it.
+        let sound = sols.iter().all(is_sound);
+        sound.then_some(()).ok_or(EngineInterrupt::Pressure)
     }
 
-    fn note_memory(&mut self, _stored: &[StatSolution], _freed: usize) {
-        // Eligibility guarantees memory budgets are unlimited, so the
-        // estimate can never trigger anything.
+    fn note_memory(&mut self, stored: &[StatSolution], freed: usize) {
+        let added: usize = stored.iter().map(solution_footprint).sum();
+        self.live = self.live.saturating_add(added).saturating_sub(freed);
     }
 }
 
-/// Dependency-counter scheduler shared by the phase's workers.
-struct Scheduler {
-    /// Initially the leaves; interior nodes are handed directly to the
-    /// worker that completed their last child.
-    queue: Mutex<VecDeque<NodeId>>,
-    cv: Condvar,
-    done: AtomicUsize,
-    total: usize,
-    /// Smallest postorder position with a recorded strict error
-    /// (`usize::MAX` = none) — nodes at or past it are skipped.
-    err_pos: AtomicUsize,
-    error: Mutex<Option<(usize, InsertionError)>>,
+/// Each shard's postorder span, with its outcome.
+pub(crate) type SolvedShards = Vec<(Range<usize>, Option<Shard>)>;
+
+/// A shard solved on a worker.
+pub(crate) struct Shard {
+    /// The shard root's list (materialized on hier runs).
+    pub(crate) list: Vec<StatSolution>,
+    pub(crate) stats: DpStats,
+    /// Peak of the shard's own live-byte estimate at any admission.
+    peak_bytes: usize,
+    /// The shard's live bytes at its end: its root list's footprint.
+    pub(crate) end_bytes: usize,
 }
 
-impl Scheduler {
-    fn next_ready(&self, shared: &ProbeShared) -> Option<NodeId> {
-        let mut q = self.queue.lock().expect("queue lock");
-        loop {
-            if shared.pressured() || self.done.load(Ordering::Acquire) >= self.total {
-                return None;
-            }
-            if let Some(id) = q.pop_front() {
-                return Some(id);
-            }
-            q = self.cv.wait(q).expect("queue lock");
-        }
-    }
-
-    fn skip(&self, pos: usize) -> bool {
-        pos >= self.err_pos.load(Ordering::Relaxed)
-    }
-
-    fn record_error(&self, pos: usize, e: InsertionError) {
-        let mut slot = self.error.lock().expect("error lock");
-        if slot.as_ref().is_none_or(|(p, _)| pos < *p) {
-            *slot = Some((pos, e));
-            self.err_pos.store(pos, Ordering::Relaxed);
-        }
-    }
-
-    /// Stores a finished node's list and hands its parent to this
-    /// worker if that completed the parent's last dependency.
-    fn complete(
-        &self,
-        tree: &RoutingTree,
-        id: NodeId,
-        sols: Vec<StatSolution>,
-        slots: &[Mutex<Option<Vec<StatSolution>>>],
-        pending: &[AtomicUsize],
-        next: &mut Option<NodeId>,
-    ) {
-        *slots[id.index()].lock().expect("slot lock") = Some(sols);
-        let finished = self.done.fetch_add(1, Ordering::AcqRel) + 1;
-        if let Some(p) = tree.node(id).parent {
-            if pending[p.index()].fetch_sub(1, Ordering::AcqRel) == 1 {
-                *next = Some(p);
-            }
-        }
-        if finished == self.total {
-            self.cv.notify_all();
-        }
-    }
-
-    fn wake_all(&self) {
-        self.cv.notify_all();
+impl Shard {
+    /// Whether the serial run, reaching this shard with `governor` in
+    /// its current state, would have recorded no event inside it.
+    pub(crate) fn adoptable(&self, governor: &Governor) -> bool {
+        governor.pristine()
+            && governor.live_bytes().saturating_add(self.peak_bytes)
+                <= governor.budget().soft_mem_bytes
     }
 }
 
-/// The speculative intra-tree phase. `None` means the run is
-/// ineligible or aborted on pressure — the caller falls through to the
-/// sequential engine with the governor untouched. `Some(Ok)` carries
-/// the root's candidate list plus worker-merged stats; `Some(Err)` is
-/// a deterministic strict-mode error (smallest postorder position).
-#[allow(clippy::type_complexity)]
-pub(crate) fn try_parallel_tree(
+/// Every subtree's node count, in one sweep down the topological ids.
+fn subtree_sizes(tree: &RoutingTree) -> Vec<u32> {
+    let mut size = vec![1; tree.len()];
+    for i in (1..tree.len()).rev() {
+        let parent = tree.node(NodeId(i as u32)).parent.expect("non-root");
+        size[parent.index()] += size[i];
+    }
+    size
+}
+
+/// The shard plan of a flat run, whose cuts only mark where shards end:
+/// the largest subtree is split at its root until there are two per
+/// worker or it has under 16 nodes. More shards only add serial split
+/// nodes and per-shard pool warm-up (EXPERIMENTS.md).
+pub(crate) fn flat_shard_cuts(tree: &RoutingTree, jobs: usize) -> Vec<bool> {
+    let size = subtree_sizes(tree);
+    let mut pieces = BinaryHeap::from([(size[0], tree.root())]);
+    while let Some(&(n, id)) = pieces.peek() {
+        if pieces.len() >= 2 * jobs || n < 16 {
+            break;
+        }
+        pieces.pop();
+        pieces.extend(tree.node(id).children.iter().map(|&c| (size[c.index()], c)));
+    }
+    let mut cuts = vec![false; tree.len()];
+    for (_, id) in pieces {
+        cuts[id.index()] = id != tree.root();
+    }
+    cuts
+}
+
+/// Postorder spans of the shards: the subtrees of the cut nodes with no
+/// cut below them, in walk order.
+fn shard_spans(tree: &RoutingTree, order: &[NodeId], cuts: &[bool]) -> Vec<Range<usize>> {
+    let size = subtree_sizes(tree);
+    let mut cut_below = vec![false; tree.len()];
+    let mut spans = Vec::new();
+    for (i, &id) in order.iter().enumerate() {
+        for &c in &tree.node(id).children {
+            cut_below[id.index()] |= cuts[c.index()] || cut_below[c.index()];
+        }
+        if cuts[id.index()] && !cut_below[id.index()] {
+            spans.push(i + 1 - size[id.index()] as usize..i + 1);
+        }
+    }
+    spans
+}
+
+/// Fans the shards between `cuts` out to up to `jobs` workers, or to
+/// none when the run's governance depends on the clock or on the order
+/// of reads (see the module docs). Returns each shard's postorder span
+/// with its outcome — `None` for a failed shard, or one past the first
+/// failure that was not worth finishing — and the worker count used.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_shards(
     ctx: &RunCtx<'_>,
-    static_rule: Option<&dyn PruningRule>,
-    options: &DpOptions,
     governor: &Governor,
-) -> Option<Result<(Vec<StatSolution>, DpStats), InsertionError>> {
-    let tree = ctx.tree;
-    if options.effective_jobs() <= 1
-        || !governor.uses_real_clock()
-        || !governor.pristine()
-        || governor.cancellable()
-    {
-        // Cancellable runs stay sequential: the probe supervisor never
-        // polls the token, so a watchdog could overrun unobserved for
-        // the whole speculative phase.
-        return None;
-    }
+    static_rule: Option<&dyn PruningRule>,
+    order: &[NodeId],
+    cuts: &[bool],
+    jobs: usize,
+    faults: bool,
+    materialize: bool,
+) -> (SolvedShards, usize) {
     let budget = governor.budget();
-    if governor.is_governed()
-        && (budget.soft_mem_bytes != usize::MAX || budget.hard_mem_bytes != usize::MAX)
-    {
-        // Live-byte accounting is order-dependent; leave it sequential.
-        return None;
+    let governed = governor.is_governed();
+    let timed =
+        governed && (budget.soft_time != Duration::MAX || budget.hard_time != Duration::MAX);
+    let serial = faults || timed || governor.cancellable() || !governor.uses_real_clock();
+    let spans = if jobs > 1 && !serial {
+        shard_spans(ctx.tree, order, cuts)
+    } else {
+        Vec::new()
+    };
+    let workers = jobs.min(spans.len());
+    if workers <= 1 {
+        return (Vec::new(), 1);
     }
-    let rule: RuleHandle<'_> = match static_rule {
+    let shared = ProbeShared {
+        base_elapsed: governor.elapsed(),
+        start: Instant::now(),
+        governed,
+        time_limit: budget.hard_time,
+        max_solutions: if governed {
+            budget.soft_solutions
+        } else {
+            budget.hard_solutions
+        },
+        mem_limit: budget.soft_mem_bytes,
+        first_failed: AtomicUsize::new(usize::MAX),
+    };
+    let rule = match static_rule {
         Some(r) => RuleHandle::Static(r),
         None => RuleHandle::Shared(governor.active_rule()),
     };
     let epsilon = governor.epsilon();
-    let shared = ProbeShared {
-        base_elapsed: governor.elapsed(),
-        start: Instant::now(),
-        governed: governor.is_governed(),
-        soft_time: budget.soft_time,
-        hard_time: budget.hard_time,
-        soft_solutions: budget.soft_solutions,
-        hard_solutions: budget.hard_solutions,
-        pressure: AtomicBool::new(false),
-    };
-
-    let order = tree.postorder();
-    let n = tree.len();
-    let mut pos = vec![0usize; n];
-    for (i, id) in order.iter().enumerate() {
-        pos[id.index()] = i;
-    }
-    let pending: Vec<AtomicUsize> = (0..n)
-        .map(|i| AtomicUsize::new(tree.node(NodeId(i as u32)).children.len()))
-        .collect();
-    let slots: Vec<Mutex<Option<Vec<StatSolution>>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let leaves: VecDeque<NodeId> = order
-        .iter()
-        .copied()
-        .filter(|id| tree.node(*id).children.is_empty())
-        .collect();
-    let sched = Scheduler {
-        queue: Mutex::new(leaves),
-        cv: Condvar::new(),
-        done: AtomicUsize::new(0),
-        total: n,
-        err_pos: AtomicUsize::new(usize::MAX),
-        error: Mutex::new(None),
-    };
-
-    let workers = options.effective_jobs().min(n.max(1));
-    let mut worker_stats: Vec<DpStats> = Vec::with_capacity(workers);
-    std::thread::scope(|s| {
-        let mut handles = Vec::with_capacity(workers - 1);
-        for _ in 1..workers {
-            let rule = rule.clone();
-            handles.push(
-                s.spawn(|| worker(ctx, &shared, rule, epsilon, &sched, &pos, &pending, &slots)),
-            );
-        }
-        worker_stats.push(worker(
-            ctx,
-            &shared,
-            rule.clone(),
+    let solved = run_indexed(spans.len(), workers, |k| {
+        let mut sup = ProbeSupervisor {
+            shared: &shared,
+            shard: k,
+            rule: rule.clone(),
             epsilon,
-            &sched,
-            &pos,
-            &pending,
-            &slots,
-        ));
-        for h in handles {
-            worker_stats.push(h.join().expect("parallel worker panicked"));
+            live: 0,
+            peak: 0,
+        };
+        let shard = solve_shard(ctx, &mut sup, &order[spans[k].clone()], materialize);
+        if shard.is_none() {
+            shared.first_failed.fetch_min(k, Ordering::Relaxed);
         }
+        shard
     });
-
-    if shared.pressured() {
-        return None;
-    }
-    if let Some((_, e)) = sched.error.into_inner().expect("error lock") {
-        return Some(Err(e));
-    }
-    let root_list = slots[tree.root().index()]
-        .lock()
-        .expect("slot lock")
-        .take()
-        .expect("root list computed");
-    let mut stats = DpStats::default();
-    for w in &worker_stats {
-        stats.absorb(w);
-    }
-    Some(Ok((root_list, stats)))
+    (spans.into_iter().zip(solved).collect(), workers)
 }
 
-/// One worker of the speculative phase: pulls ready nodes, processes
-/// them with the shared per-node DP body, and chains into parents it
-/// unblocks.
-#[allow(clippy::too_many_arguments)]
-fn worker(
+fn solve_shard(
     ctx: &RunCtx<'_>,
-    shared: &ProbeShared,
-    rule: RuleHandle<'_>,
-    epsilon: f64,
-    sched: &Scheduler,
-    pos: &[usize],
-    pending: &[AtomicUsize],
-    slots: &[Mutex<Option<Vec<StatSolution>>>],
-) -> DpStats {
-    let tree = ctx.tree;
-    let mut sup = ProbeSupervisor {
-        shared,
-        rule,
-        epsilon,
-    };
+    sup: &mut ProbeSupervisor<'_, '_>,
+    order: &[NodeId],
+    materialize: bool,
+) -> Option<Shard> {
     let mut pool = SolPool::default();
     let mut stats = DpStats::default();
-    let mut next: Option<NodeId> = None;
-    loop {
-        let id = match next.take() {
-            Some(id) => id,
-            None => match sched.next_ready(shared) {
-                Some(id) => id,
-                None => break,
-            },
-        };
-        // Past a recorded error position nothing can lower the minimum
-        // (ancestors only have larger positions): skip, but keep the
-        // dependency counters flowing so the phase still drains.
-        if sched.skip(pos[id.index()]) {
-            sched.complete(tree, id, Vec::new(), slots, pending, &mut next);
-            continue;
-        }
-        let children: Vec<Vec<StatSolution>> = tree
-            .node(id)
-            .children
-            .iter()
-            .map(|c| {
-                slots[c.index()]
-                    .lock()
-                    .expect("slot lock")
-                    .take()
-                    .unwrap_or_default()
-            })
-            .collect();
-        match process_node(ctx, &mut sup, id, children, None, &mut pool, &mut stats) {
-            Ok(sols) => sched.complete(tree, id, sols, slots, pending, &mut next),
-            Err(EngineInterrupt::Pressure) => {
-                shared.raise_pressure();
-                sched.wake_all();
-                break;
-            }
-            Err(EngineInterrupt::Error(e)) => {
-                sched.record_error(pos[id.index()], e);
-                sched.complete(tree, id, Vec::new(), slots, pending, &mut next);
-            }
-        }
+    let mut stack = Vec::new();
+    for &id in order {
+        let children = take_children(&mut stack, ctx.tree.node(id).children.len());
+        let sols = process_node(ctx, sup, id, children, None, &mut pool, &mut stats).ok()?;
+        stack.push(Finished::Live(sols));
     }
-    stats
+    let mut list = stack.pop()?.into_vec();
+    if materialize {
+        materialize_list(&mut list, sup.epsilon, &mut stats);
+    }
+    Some(Shard {
+        list,
+        stats,
+        peak_bytes: sup.peak,
+        end_bytes: sup.live,
+    })
 }

@@ -1132,8 +1132,8 @@ fn run_envelope(
         budget = tighten(budget);
     }
     // Service-level parallelism is across requests; each request's DP
-    // stays sequential (cancellable runs skip the parallel probe
-    // anyway — it never polls the token).
+    // stays sequential (cancellable runs never fan out shards anyway —
+    // the shard probe does not poll the token).
     let options = DpOptions {
         jobs: 1,
         ..DpOptions::default()

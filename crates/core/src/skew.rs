@@ -195,10 +195,15 @@ impl<'a> SkewAnalyzer<'a> {
         let tree = self.tree;
         let wire = tree.wire();
         let n = tree.len();
-        let mut buffers: Vec<Option<BufferTypeId>> = vec![None; n];
+        // Each buffered node's slot in `buffered`: its type and, from
+        // the upward pass until its arrival is computed, the subtree
+        // load it drives. A later entry for the same node wins.
+        let mut buffer_slot: Vec<u32> = vec![NO_SLOT; n];
+        let mut buffered: Vec<(BufferTypeId, CanonicalForm)> = Vec::new();
         for &(id, ty) in assignment {
-            if let Some(slot) = buffers.get_mut(id.index()) {
-                *slot = Some(ty);
+            if let Some(slot) = buffer_slot.get_mut(id.index()) {
+                *slot = buffered.len() as u32;
+                buffered.push((ty, CanonicalForm::default()));
             }
         }
 
@@ -206,7 +211,6 @@ impl<'a> SkewAnalyzer<'a> {
         // form when buffered) and, at buffered nodes, the subtree load
         // the buffer drives. Descending ids visit children first.
         let mut upward_load: Vec<CanonicalForm> = vec![CanonicalForm::default(); n];
-        let mut buffer_load: Vec<Option<CanonicalForm>> = vec![None; n];
         for i in (0..n).rev() {
             let id = NodeId(i as u32);
             let node = tree.node(id);
@@ -219,10 +223,11 @@ impl<'a> SkewAnalyzer<'a> {
                 load.add_scaled_assign(&upward_load[c.index()], 1.0);
                 load.add_constant(seg_cap);
             }
-            upward_load[i] = match buffers[i] {
-                Some(ty) => {
-                    buffer_load[i] = Some(load);
-                    self.model.buffer_cap_form(ty, id, node.location, self.mode)
+            upward_load[i] = match buffered.get_mut(buffer_slot[i] as usize) {
+                Some((ty, driven)) => {
+                    *driven = load;
+                    self.model
+                        .buffer_cap_form(*ty, id, node.location, self.mode)
                 }
                 None => load,
             };
@@ -236,33 +241,33 @@ impl<'a> SkewAnalyzer<'a> {
             _ => panic!("root must be a source"),
         };
         let mut pending: Vec<u32> = tree.iter().map(|(_, v)| v.children.len() as u32).collect();
-        let mut arrival: Vec<Option<CanonicalForm>> = vec![None; n];
-        arrival[root.index()] = Some(upward_load[root.index()].scaled(driver_res));
+        let mut arrival_slot: Vec<u32> = vec![NO_SLOT; n];
+        let mut front = Front::default();
+        arrival_slot[root.index()] = front.insert(upward_load[root.index()].scaled(driver_res));
         let mut earliest = Fold::new(stat_min_assign);
         for (id, node) in tree.iter().skip(1) {
             let parent = node.parent.expect("non-root").index();
-            let base = arrival[parent]
-                .as_ref()
-                .expect("parent id precedes child id");
+            // The parent id precedes the child id, so its arrival is live.
+            let base = &front.forms[arrival_slot[parent] as usize];
             let seg = wire.segment(node.edge_length);
             let up = std::mem::take(&mut upward_load[id.index()]);
             // Wire delay r·l·(c·l/2 + upward load of child).
             let mut t = base.linear_combination(1.0, &up, seg.resistance);
             t.add_constant(seg.resistance * seg.capacitance / 2.0);
-            if let Some(ty) = buffers[id.index()] {
+            if let Some((ty, driven)) = buffered.get_mut(buffer_slot[id.index()] as usize) {
                 let delay = self
                     .model
-                    .buffer_delay_form(ty, id, node.location, self.mode);
+                    .buffer_delay_form(*ty, id, node.location, self.mode);
                 t = t.add(&delay).linear_combination(
                     1.0,
-                    buffer_load[id.index()].as_ref().expect("buffered"),
-                    self.model.buffer_resistance(ty),
+                    driven,
+                    self.model.buffer_resistance(*ty),
                 );
-                buffer_load[id.index()] = None;
+                *driven = CanonicalForm::default();
             }
             pending[parent] -= 1;
             if pending[parent] == 0 {
-                arrival[parent] = None;
+                front.remove(arrival_slot[parent]);
             }
             if matches!(node.kind, NodeKind::Sink { .. }) {
                 let t = Arc::new(t);
@@ -272,10 +277,39 @@ impl<'a> SkewAnalyzer<'a> {
                 earliest.push(&t);
                 keep(id, t);
             } else if !node.children.is_empty() {
-                arrival[id.index()] = Some(t);
+                arrival_slot[id.index()] = front.insert(t);
             }
         }
         earliest
+    }
+}
+
+/// A per-node slot index meaning "none": it lies past the end of any
+/// table, so a `get` with it finds nothing.
+const NO_SLOT: u32 = u32::MAX;
+
+/// The arrival forms of the live walk front, in recycled slots: a
+/// node-indexed table of forms would cost a 56-byte header per node.
+#[derive(Default)]
+struct Front {
+    forms: Vec<CanonicalForm>,
+    free: Vec<u32>,
+}
+
+impl Front {
+    fn insert(&mut self, form: CanonicalForm) -> u32 {
+        if let Some(slot) = self.free.pop() {
+            self.forms[slot as usize] = form;
+            return slot;
+        }
+        self.forms.push(form);
+        (self.forms.len() - 1) as u32
+    }
+
+    /// Frees the slot's form (and its terms).
+    fn remove(&mut self, slot: u32) {
+        self.forms[slot as usize] = CanonicalForm::default();
+        self.free.push(slot);
     }
 }
 

@@ -1,21 +1,24 @@
 //! Bit-for-bit determinism of the parallel engine.
 //!
 //! The contract (see `pool` module docs): for every pruning rule and
-//! any `jobs` count, batch and intra-tree parallel results — winning
-//! RAT form, assignment, wire widths, `DpStats` counters, degradation
-//! events — are identical to the sequential engine's, bit for bit.
+//! any `jobs` count, batch and shard-parallel results — winning RAT
+//! form, assignment, wire widths, `DpStats` counters, degradation
+//! events, hierarchical reports — are identical to the sequential
+//! engine's, bit for bit.
 
 use std::sync::Arc;
 use std::time::Duration;
 use varbuf_core::dp::{
-    optimize_governed, optimize_with_rule, DpOptions, GovernedResult, StatResult,
+    fallback_cascade, optimize_governed, optimize_with_rule, DpOptions, GovernedResult,
+    RunControls, StatResult, WireSizing,
 };
-use varbuf_core::governor::Budget;
+use varbuf_core::governor::{Budget, Degradation};
+use varbuf_core::hier::{optimize_hier, HierOptions, HierResult};
 use varbuf_core::pool::{optimize_batch, BatchRequest};
 use varbuf_core::prune::{FourParam, OneParam, PruningRule, TwoParam};
 use varbuf_core::solution::StatSolution;
 use varbuf_core::InsertionError;
-use varbuf_rctree::generate::{generate_benchmark, BenchmarkSpec};
+use varbuf_rctree::generate::{generate_benchmark, generate_htree, BenchmarkSpec, HTreeSpec};
 use varbuf_rctree::RoutingTree;
 use varbuf_stats::{
     lane_dot_ref, lane_variance_ref, CanonicalForm, ColumnForm, FormBatch, SourceId, SplitMix64,
@@ -85,22 +88,26 @@ fn assert_bit_identical(label: &str, seq: &StatResult, par: &StatResult) {
 
 fn assert_same_degradation(label: &str, seq: &GovernedResult, par: &GovernedResult) {
     assert_bit_identical(label, &seq.result, &par.result);
+    assert_same_report(label, &seq.degradation, &par.degradation);
+}
+
+fn assert_same_report(label: &str, seq: &Degradation, par: &Degradation) {
     // Event timestamps are wall clock; triggers and actions are not.
-    let strip = |g: &GovernedResult| {
-        g.degradation
-            .events
+    let strip = |d: &Degradation| {
+        d.events
             .iter()
             .map(|e| (e.trigger.clone(), e.action.clone()))
             .collect::<Vec<_>>()
     };
     assert_eq!(strip(seq), strip(par), "{label}: degradation events");
+    assert_eq!(seq.final_rule, par.final_rule, "{label}: final rule");
     assert_eq!(
-        seq.degradation.final_rule, par.degradation.final_rule,
-        "{label}: final rule"
+        seq.panic_completion, par.panic_completion,
+        "{label}: panic completion"
     );
     assert_eq!(
-        seq.degradation.panic_completion, par.degradation.panic_completion,
-        "{label}: panic completion"
+        seq.peak_chunk_bytes, par.peak_chunk_bytes,
+        "{label}: peak chunk bytes"
     );
 }
 
@@ -128,7 +135,14 @@ fn strict_parallel_is_bit_identical_for_all_rules() {
             };
             let seq = run(1);
             let par = run(4);
-            assert_bit_identical(&format!("{name}/seed{seed:x}/strict"), &seq, &par);
+            let label = format!("{name}/seed{seed:x}/strict");
+            assert_bit_identical(&label, &seq, &par);
+            if sinks >= 40 {
+                assert!(
+                    par.stats.jobs_effective > 1,
+                    "{label}: shards not committed"
+                );
+            }
         }
     }
 }
@@ -158,16 +172,23 @@ fn governed_parallel_is_bit_identical_for_all_rules() {
             };
             let seq = run(1);
             let par = run(4);
-            assert_same_degradation(&format!("{name}/seed{seed:x}/governed"), &seq, &par);
+            let label = format!("{name}/seed{seed:x}/governed");
+            assert_same_degradation(&label, &seq, &par);
+            if sinks >= 40 {
+                assert!(
+                    par.result.stats.jobs_effective > 1,
+                    "{label}: shards not committed"
+                );
+            }
         }
     }
 }
 
 #[test]
 fn governed_under_pressure_matches_including_degradation_counters() {
-    // A tight solution budget forces the degradation ladder: the
-    // speculative parallel phase must detect the pressure, abandon
-    // itself, and reproduce the sequential run — including every
+    // A tight solution budget forces the degradation ladder: the shard
+    // workers must detect the pressure, the walk must go serial there,
+    // and the run must reproduce the sequential one — including every
     // recorded trigger/action pair — bit for bit.
     let budget = Budget {
         soft_solutions: 6,
@@ -203,6 +224,95 @@ fn governed_under_pressure_matches_including_degradation_counters() {
                 seq.result.stats.degraded(),
                 "{label}: budget was meant to force degradation"
             );
+        }
+    }
+}
+
+/// Hierarchical cases: the paper-scale H-trees at the default plan, and
+/// random trees cut small enough to nest regions inside regions.
+fn hier_cases() -> Vec<(String, RoutingTree, HierOptions)> {
+    let mut cases: Vec<(String, RoutingTree, HierOptions)> = [12, 14]
+        .into_iter()
+        .map(|levels| {
+            let tree = generate_htree(&HTreeSpec::with_levels(levels));
+            (format!("htree{levels}"), tree, HierOptions::default())
+        })
+        .collect();
+    for seed in SEEDS {
+        let tree = generate_benchmark(&BenchmarkSpec::random("det-hier", 300, seed));
+        let nested = HierOptions {
+            cut_nodes: 24,
+            fanout_cut: 0,
+            ..HierOptions::default()
+        };
+        cases.push((format!("random300/seed{seed:x}"), tree, nested));
+    }
+    cases
+}
+
+fn assert_same_hier(label: &str, seq: &HierResult, par: &HierResult) {
+    assert_bit_identical(label, &seq.result, &par.result);
+    assert_same_report(label, &seq.degradation, &par.degradation);
+    assert_eq!(seq.hier, par.hier, "{label}: hier report");
+}
+
+#[test]
+fn hier_shards_are_bit_identical_across_jobs_and_budgets() {
+    // Unlimited; the CLI's `--budget-mem 512`, which must not keep the
+    // run serial; and a budget tight enough to degrade, which must
+    // match jobs=1 event for event. On the H-trees the first shard's
+    // own live estimate passes 200 KiB, so the probe fails it.
+    let mem = |bytes: usize| Budget {
+        soft_mem_bytes: bytes,
+        hard_mem_bytes: bytes * 4,
+        ..Budget::unlimited()
+    };
+    let budgets = [
+        ("unlimited", Budget::unlimited()),
+        ("mem512MiB", mem(512 << 20)),
+        ("mem200KiB", mem(200 << 10)),
+    ];
+    for (name, tree, hier) in hier_cases() {
+        let model = ProcessModel::paper_defaults(tree.bounding_box(), SpatialKind::Heterogeneous);
+        for (budget_name, budget) in &budgets {
+            let run = |jobs: usize| {
+                optimize_hier(
+                    &tree,
+                    &model,
+                    VariationMode::WithinDie,
+                    fallback_cascade(Arc::new(TwoParam::default())),
+                    &WireSizing::single(),
+                    &DpOptions {
+                        jobs,
+                        jobs_force: true,
+                        ..DpOptions::default()
+                    },
+                    &hier,
+                    budget,
+                    RunControls::default(),
+                )
+                .expect("hier run")
+            };
+            let seq = run(1);
+            assert!(seq.hier.cut_count >= 2, "{name}: needs independent regions");
+            assert_eq!(seq.result.stats.jobs_effective, 1);
+            let degrades = *budget_name == "mem200KiB";
+            assert_eq!(
+                seq.degradation.degraded(),
+                degrades,
+                "{name}/{budget_name}: degradation expected only under the tight budget"
+            );
+            for jobs in [2, 4] {
+                let par = run(jobs);
+                let label = format!("{name}/{budget_name}/jobs{jobs}");
+                assert_same_hier(&label, &seq, &par);
+                let committed = par.result.stats.jobs_effective;
+                if degrades {
+                    assert_eq!(committed, 1, "{label}: a degraded walk is serial");
+                } else {
+                    assert!(committed > 1, "{label}: parallel result not committed");
+                }
+            }
         }
     }
 }
@@ -354,8 +464,8 @@ fn interner_round_trip_preserves_moments_and_rule_decisions() {
 #[test]
 fn strict_capacity_error_is_deterministic_across_jobs() {
     // The 4P cross product on a bigger tree breaches a tight cap; the
-    // parallel engine must surface the same first-in-postorder breach
-    // the sequential engine hits.
+    // sharded walk must surface the same first-in-postorder breach the
+    // sequential engine hits.
     let tree = generate_benchmark(&BenchmarkSpec::random("det-cap", 100, 11));
     let model = model_for(&tree);
     let run = |jobs: usize| -> InsertionError {

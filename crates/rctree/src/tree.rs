@@ -388,6 +388,11 @@ impl RoutingTree {
     /// Post-order (children before parents) traversal from the root.
     ///
     /// This is the reverse-topological order the dynamic program consumes.
+    /// Children are visited last first: each subtree is contiguous, and
+    /// a node's children's subtrees appear in reverse child order, so
+    /// results pushed on a stack as nodes finish sit there, when their
+    /// parent is reached, with the first child on top. The DP walks
+    /// rely on this to hand a merge its operands in child order.
     #[must_use]
     pub fn postorder(&self) -> Vec<NodeId> {
         let mut order = Vec::with_capacity(self.nodes.len());

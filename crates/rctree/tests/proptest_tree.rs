@@ -69,6 +69,34 @@ fn node_ids_are_topological() {
 }
 
 #[test]
+fn postorder_visits_last_child_first() {
+    let mut trees: Vec<_> = (1..=8)
+        .map(|levels| generate_htree(&HTreeSpec::with_levels(levels)))
+        .collect();
+    let mut rng = SplitMix64::new(0x0DE2);
+    for _ in 0..16 {
+        let sinks = 1 + rng.below(119);
+        let seed = rng.next_u64() % 1000;
+        let tree = generate_benchmark(&BenchmarkSpec::random("order", sinks, seed));
+        trees.push(tree.subdivided(300.0));
+        trees.push(tree);
+    }
+    for tree in &trees {
+        // Replay the DP's stack discipline: every node pops its
+        // children, which must come off first child first.
+        let mut stack = Vec::new();
+        for id in tree.postorder() {
+            let children = &tree.node(id).children;
+            let at = stack.len() - children.len();
+            let popped: Vec<_> = stack.drain(at..).rev().collect();
+            assert_eq!(&popped, children, "{}: children of {id}", tree.name());
+            stack.push(id);
+        }
+        assert_eq!(stack, vec![tree.root()]);
+    }
+}
+
+#[test]
 fn io_roundtrip() {
     let mut rng = SplitMix64::new(2);
     for _ in 0..48 {

@@ -110,11 +110,14 @@ usage:
   varbuf cts [--levels N] [--spatial homog|hetero] [--rule 2p|4p|1p]
              [--skew-target PS] [--flat] [--cut-nodes N] [--fanout-cut N]
              [--budget-solutions N] [--budget-time SECS] [--budget-mem MB]
+             [--jobs N]
       clock-tree pipeline: generate an H-tree with 2^N sinks
       (default N=10), buffer it variation-aware (WID) through the
       hierarchical engine, and score the result against skew targets.
       --flat disables decomposition (byte-identical to the flat
       engine); --cut-nodes / --fanout-cut tune where the tree is cut.
+      --jobs N: workers that solve independent cut regions (default:
+      all cores; 0 = all cores); output is byte-identical to --jobs 1.
       With a --budget-* flag the run is governed and exits 2 on
       degradation, like `opt --degrade`.
   varbuf serve [--jobs N] [--watchdog SECS] [--max-sessions N]
@@ -266,6 +269,17 @@ fn parse_budget(args: &[String]) -> Result<Budget, String> {
     Ok(budget)
 }
 
+/// The `--jobs N` worker count, if given (`0` = all cores).
+fn parse_jobs(args: &[String]) -> Result<Option<usize>, String> {
+    flag_value(args, "--jobs")
+        .map(|v| match v.parse::<usize>() {
+            Ok(0) => Ok(default_jobs()),
+            Ok(n) => Ok(n),
+            Err(_) => Err("--jobs needs an integer".to_owned()),
+        })
+        .transpose()
+}
+
 fn cmd_gen(args: &[String]) -> Result<Outcome, String> {
     let spec = args.first().ok_or("gen needs a spec")?;
     let subdivide = match flag_value(args, "--subdivide") {
@@ -353,11 +367,8 @@ fn cmd_opt(args: &[String]) -> Result<Outcome, String> {
     if let Some(p) = parse_p(args)? {
         options.rule = TwoParam::try_new(p, p).map_err(|e| e.to_string())?;
     }
-    if let Some(v) = flag_value(args, "--jobs") {
-        let n: usize = v
-            .parse()
-            .map_err(|_| "--jobs needs an integer".to_owned())?;
-        options.dp.jobs = if n == 0 { default_jobs() } else { n };
+    if let Some(jobs) = parse_jobs(args)? {
+        options.dp.jobs = jobs;
     }
     if has_flag(args, "--no-bounds") {
         options.dp.use_bounds = false;
@@ -534,20 +545,7 @@ fn parse_serve_config(args: &[String]) -> Result<(ServiceConfig, usize), String>
     if config.queue_soft_cost > config.queue_hard_cost {
         return Err("--queue-soft must not exceed --queue-hard".to_owned());
     }
-    let jobs = match flag_value(args, "--jobs") {
-        Some(v) => {
-            let n: usize = v
-                .parse()
-                .map_err(|_| "--jobs needs an integer".to_owned())?;
-            if n == 0 {
-                default_jobs()
-            } else {
-                n
-            }
-        }
-        None => 1,
-    };
-    Ok((config, jobs))
+    Ok((config, parse_jobs(args)?.unwrap_or(1)))
 }
 
 /// The resident service: one command per stdin line, one response line
@@ -676,7 +674,10 @@ fn cmd_cts(args: &[String]) -> Result<Outcome, String> {
             .parse()
             .map_err(|_| "--fanout-cut needs an integer (0 = never by fanout)".to_owned())?;
     }
-    let options = DpOptions::default();
+    let options = DpOptions {
+        jobs: parse_jobs(args)?.unwrap_or_else(default_jobs),
+        ..DpOptions::default()
+    };
     let g = optimize_hier(
         &tree,
         &model,

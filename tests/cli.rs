@@ -387,3 +387,30 @@ fn opt_rejects_bad_p_threshold_gracefully() {
     assert!(!stderr.contains("panicked"), "{stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn cts_output_does_not_depend_on_jobs() {
+    let cts = |extra: &[&str]| {
+        let mut args = vec!["cts", "--levels", "12"];
+        args.extend_from_slice(extra);
+        let (code, stdout, stderr) = run_code(&args);
+        assert_eq!(code, 0, "{args:?}: {stderr}");
+        stdout
+    };
+    let serial = cts(&["--jobs", "1"]);
+    assert!(serial.contains("global skew"), "{serial}");
+    assert_eq!(cts(&["--jobs", "2"]), serial, "--jobs 2");
+    assert_eq!(cts(&[]), serial, "default jobs");
+
+    let (code, stdout, stderr) = run_code(&["cts", "--levels", "4", "--jobs", "abc"]);
+    assert_eq!(code, 1, "{stderr}");
+    assert!(stdout.is_empty(), "{stdout}");
+    assert!(stderr.contains("--jobs needs an integer"), "{stderr}");
+
+    let (ok, help, _) = run(&["help"]);
+    assert!(ok);
+    assert!(
+        help.contains("--jobs N: workers that solve independent cut regions"),
+        "{help}"
+    );
+}
